@@ -127,15 +127,16 @@ report:
 report-paper:
 	$(GO) run ./cmd/positreport -fig all -budget paper
 
-# Brief fuzz pass over the posit substrate invariants and the binary
-# trial wire decoder (docs/WIRE.md).
+# Brief fuzz pass over the posit substrate invariants and the store
+# decoders: the shard block (docs/STORE.md), the footer index and the
+# whole-file opener.
 fuzz:
 	$(GO) test -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 30s ./internal/posit/
 	$(GO) test -fuzz FuzzDecodersAgree -fuzztime 30s ./internal/posit/
 	$(GO) test -fuzz FuzzAddAgainstRat -fuzztime 30s ./internal/posit/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/posit/
 	$(GO) test -fuzz FuzzQuireFMA -fuzztime 30s ./internal/posit/
-	$(GO) test -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzDecodeBlock -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzFooterIndex -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzOpen -fuzztime 30s ./internal/store/
 
@@ -148,7 +149,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzAddAgainstRat -fuzztime 5s ./internal/posit/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/posit/
 	$(GO) test -run '^$$' -fuzz FuzzQuireFMA -fuzztime 5s ./internal/posit/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzFooterIndex -fuzztime 5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 5s ./internal/store/
 

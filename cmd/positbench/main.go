@@ -2,7 +2,7 @@
 // fixed-budget performance suite — campaign injection throughput,
 // posit substrate micro-benchmarks (encode/decode/arithmetic/quire),
 // the LUT-vs-generic and CLZ-vs-generic decode comparisons, the
-// binary-wire-vs-CSV trial codec comparison, and representative
+// store-block-vs-CSV trial codec comparison, and representative
 // figure regenerations — through testing.Benchmark and writes a
 // schema-versioned JSON baseline (see docs/PERF.md) suitable for
 // committing as BENCH_<pr>.json and diffing across PRs.
@@ -46,7 +46,6 @@ import (
 	"positres/internal/store"
 	"positres/internal/telemetry"
 	"positres/internal/textplot"
-	"positres/internal/wire"
 )
 
 // ReportSchema versions the JSON layout of the emitted baseline. Bump
@@ -162,7 +161,7 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	// Derived headline numbers: the LUT and CLZ decode tiers' measured
-	// wins, the binary wire's win over the CSV codec, and the
+	// wins, the store block's win over the CSV codec, and the
 	// campaign's injection rate (the telemetry counter cross-check).
 	for _, w := range []int{8, 16} {
 		lut := byName[fmt.Sprintf("posit%d_decode_lut", w)]
@@ -178,17 +177,17 @@ func run(args []string, stdout io.Writer) int {
 			rep.Derived[fmt.Sprintf("posit%d_decode_speedup", w)] = gen.NsPerOp / clz.NsPerOp
 		}
 	}
-	if we, ok := byName["wire_encode_shard"]; ok && we.NsPerOp > 0 {
+	if be, ok := byName["block_encode_shard"]; ok && be.NsPerOp > 0 {
 		if ce, ok2 := byName["csv_encode_shard"]; ok2 {
-			rep.Derived["wire_encode_speedup"] = ce.NsPerOp / we.NsPerOp
-			if fb := we.Metrics["frame_bytes"]; fb > 0 {
-				rep.Derived["wire_csv_size_ratio"] = ce.Metrics["csv_bytes"] / fb
+			rep.Derived["block_encode_speedup"] = ce.NsPerOp / be.NsPerOp
+			if bb := be.Metrics["block_bytes"]; bb > 0 {
+				rep.Derived["block_csv_size_ratio"] = ce.Metrics["csv_bytes"] / bb
 			}
 		}
 	}
-	if wd, ok := byName["wire_decode_shard"]; ok && wd.NsPerOp > 0 {
+	if bd, ok := byName["block_decode_shard"]; ok && bd.NsPerOp > 0 {
 		if cd, ok2 := byName["csv_decode_shard"]; ok2 {
-			rep.Derived["wire_decode_speedup"] = cd.NsPerOp / wd.NsPerOp
+			rep.Derived["block_decode_speedup"] = cd.NsPerOp / bd.NsPerOp
 		}
 	}
 	if c, ok := byName["campaign_posit32"]; ok {
@@ -217,7 +216,7 @@ func run(args []string, stdout io.Writer) int {
 	fmt.Fprint(stdout, table.Render())
 	for _, k := range []string{"posit8_decode_speedup", "posit16_decode_speedup",
 		"posit32_decode_speedup", "posit64_decode_speedup",
-		"wire_encode_speedup", "wire_decode_speedup", "wire_csv_size_ratio",
+		"block_encode_speedup", "block_decode_speedup", "block_csv_size_ratio",
 		"campaign_injections_per_sec", "cluster_scaleout_3v1",
 		"store_append_allocs_per_op", "store_append_trials_per_sec",
 		"agg_figure_vs_render_speedup"} {
@@ -483,18 +482,19 @@ func benchCases(budget figures.Budget) []benchCase {
 		// with a reused trial buffer — the shape the runner drives per
 		// shard. 0 allocs/op is the PR 9 acceptance number.
 		{"campaign_runrange_posit32", benchRunRange("posit32", budget)},
-		// Trial codecs: one shard's trials through the packed binary
-		// frame (docs/WIRE.md) vs the CSV journal encoding.
-		{"wire_encode_shard", benchWireEncode(budget)},
+		// Trial codecs: one shard's trials through the store block
+		// (docs/STORE.md) — the shard-hop body and journal payload —
+		// vs the CSV rendering.
+		{"block_encode_shard", benchBlockEncode(budget)},
 		{"csv_encode_shard", benchCSVEncode(budget)},
-		{"wire_decode_shard", benchWireDecode(budget)},
+		{"block_decode_shard", benchBlockDecode(budget)},
 		{"csv_decode_shard", benchCSVDecode(budget)},
 		// Distributed fan-out: the same engine behind positserve
 		// coordinator mode, dispatching every shard over HTTP to an
 		// in-process worker fleet. 1 vs 3 workers gives the scale-out
 		// ratio (derived: cluster_scaleout_3v1); the gap between
-		// cluster_campaign_1worker and campaign_posit32 is the wire
-		// overhead of shipping trials as CSV.
+		// cluster_campaign_1worker and campaign_posit32 is the cost of
+		// the shard hop and the coordinator's journal.
 		{"cluster_campaign_1worker", benchClusterCampaign(1, budget)},
 		{"cluster_campaign_3workers", benchClusterCampaign(3, budget)},
 		// The columnar trial store: shard append (encode + online
@@ -549,7 +549,7 @@ func benchQuireDot(b *testing.B) {
 
 // shardTrials computes one representative shard's trials — the full
 // posit32 bit range of one field at the budget's TrialsPerBit — for
-// the wire-vs-CSV codec benches.
+// the block-vs-CSV codec benches.
 func shardTrials(b *testing.B, budget figures.Budget) []core.Trial {
 	b.Helper()
 	field, err := sdrbench.Lookup("Hurricane/Vf30")
@@ -570,9 +570,9 @@ func shardTrials(b *testing.B, budget figures.Budget) []core.Trial {
 	return trials
 }
 
-// benchWireEncode measures AppendFrame over a reused buffer — the
-// worker's steady-state encode path.
-func benchWireEncode(budget figures.Budget) func(*testing.B) {
+// benchBlockEncode measures store.AppendBlock over a reused buffer —
+// the worker's and the journal's steady-state encode path.
+func benchBlockEncode(budget figures.Budget) func(*testing.B) {
 	return func(b *testing.B) {
 		trials := shardTrials(b, budget)
 		var dst []byte
@@ -580,17 +580,17 @@ func benchWireEncode(budget figures.Budget) func(*testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var err error
-			dst, err = wire.AppendFrame(dst[:0], trials)
+			dst, err = store.AppendBlock(dst[:0], "Hurricane/Vf30", "posit32", 0, 32, trials)
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(len(dst)), "frame_bytes")
+		b.ReportMetric(float64(len(dst)), "block_bytes")
 	}
 }
 
 // benchCSVEncode measures WriteTrialsCSV into a reused buffer — the
-// CSV fallback's encode path (and the journal's).
+// direct CSV rendering (positcampaign -out).
 func benchCSVEncode(budget figures.Budget) func(*testing.B) {
 	return func(b *testing.B) {
 		trials := shardTrials(b, budget)
@@ -607,26 +607,29 @@ func benchCSVEncode(budget figures.Budget) func(*testing.B) {
 	}
 }
 
-// benchWireDecode measures DecodeFrame of one shard frame.
-func benchWireDecode(budget figures.Budget) func(*testing.B) {
+// benchBlockDecode measures store.DecodeBlock of one shard block —
+// the coordinator's and the journal replay's decode path.
+func benchBlockDecode(budget figures.Budget) func(*testing.B) {
 	return func(b *testing.B) {
-		frame, err := wire.EncodeFrame(shardTrials(b, budget))
+		trials := shardTrials(b, budget)
+		block, err := store.AppendBlock(nil, "Hurricane/Vf30", "posit32", 0, 32, trials)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			trials, _, err := wire.DecodeFrame(frame)
+			got, err := store.DecodeBlock(block, "Hurricane/Vf30", "posit32", 0, 32, len(trials))
 			if err != nil {
 				b.Fatal(err)
 			}
-			sinkU64 = uint64(len(trials))
+			sinkU64 = uint64(len(got))
 		}
 	}
 }
 
-// benchCSVDecode measures ReadTrialsCSV of the same shard as CSV.
+// benchCSVDecode measures ReadTrialsCSV of the same shard as CSV —
+// the positreport -from read path.
 func benchCSVDecode(budget figures.Budget) func(*testing.B) {
 	return func(b *testing.B) {
 		var buf bytes.Buffer

@@ -189,9 +189,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The body has been fully read, so upstream trailers (the shard
-	// CSV integrity CRC) are populated now; re-emit them. TrailerPrefix
-	// keys need no up-front declaration.
+	// The body has been fully read, so upstream trailers are populated
+	// now; re-emit them. TrailerPrefix keys need no up-front
+	// declaration.
 	for k, vv := range resp.Trailer {
 		for _, v := range vv {
 			w.Header().Add(http.TrailerPrefix+k, v)

@@ -12,6 +12,7 @@ import (
 
 	"positres/internal/atomicio"
 	"positres/internal/core"
+	"positres/internal/store"
 )
 
 // The journal is a directory of one record file per completed shard.
@@ -25,11 +26,14 @@ import (
 //
 // Record layout (see docs/RESILIENCE.md):
 //
-//	line 1:  PJR1 <crc32-ieee hex of body> <body length in bytes>
+//	line 1:  PJR2 <crc32-ieee hex of body> <body length in bytes>
 //	body:    one JSON meta line (shard identity, campaign params,
 //	         trial count, duration, attempts), then the shard's
-//	         trials in core CSV form.
-const recordMagic = "PJR1"
+//	         trials as one store block (store.AppendBlock).
+//
+// A record with any other magic (a PJR1 record, whose trials were
+// CSV) fails to parse and is recomputed like a torn one.
+const recordMagic = "PJR2"
 
 // recordMeta is the self-describing header of a journal record.
 type recordMeta struct {
@@ -47,22 +51,20 @@ func recordPath(journalDir string, sh Shard) string {
 
 // writeRecord journals a completed shard atomically.
 func writeRecord(journalDir string, meta recordMeta, trials []core.Trial) error {
-	metaJSON, err := json.Marshal(meta)
+	body, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("runner: journal meta: %w", err)
 	}
-	var body bytes.Buffer
-	body.Write(metaJSON)
-	body.WriteByte('\n')
-	if err := core.WriteTrialsCSV(&body, trials); err != nil {
+	body = append(body, '\n')
+	sh := meta.Shard
+	if body, err = store.AppendBlock(body, sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials); err != nil {
 		return fmt.Errorf("runner: journal payload: %w", err)
 	}
-	path := recordPath(journalDir, meta.Shard)
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		if _, err := fmt.Fprintf(w, "%s %08x %d\n", recordMagic, crc32.ChecksumIEEE(body.Bytes()), body.Len()); err != nil {
+	return atomicio.WriteFile(recordPath(journalDir, sh), func(w io.Writer) error {
+		if _, err := fmt.Fprintf(w, "%s %08x %d\n", recordMagic, crc32.ChecksumIEEE(body), len(body)); err != nil {
 			return err
 		}
-		_, err := w.Write(body.Bytes())
+		_, err := w.Write(body)
 		return err
 	})
 }
@@ -105,12 +107,10 @@ func readRecord(path string) (recordMeta, []core.Trial, error) {
 	if err := json.Unmarshal(body[:nl], &meta); err != nil {
 		return meta, nil, fmt.Errorf("runner: record %s: meta: %w", path, err)
 	}
-	trials, err := core.ReadTrialsCSV(bytes.NewReader(body[nl+1:]))
+	sh := meta.Shard
+	trials, err := store.DecodeBlock(body[nl+1:], sh.Field, sh.Codec, sh.BitLo, sh.BitHi, meta.Trials)
 	if err != nil {
 		return meta, nil, fmt.Errorf("runner: record %s: payload: %w", path, err)
-	}
-	if len(trials) != meta.Trials {
-		return meta, nil, fmt.Errorf("runner: record %s: %d trials, meta says %d", path, len(trials), meta.Trials)
 	}
 	return meta, trials, nil
 }

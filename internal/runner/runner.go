@@ -42,7 +42,6 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
-	"positres/internal/stats"
 	"positres/internal/telemetry"
 )
 
@@ -88,8 +87,8 @@ type Config struct {
 	OnShardDone func(st ShardStatus)
 	// Sink, when non-nil, receives every completed shard's trials —
 	// fresh and journal-resumed alike — as the campaign runs, and the
-	// Report's Results carry Trials == nil (identity, N, Baseline and
-	// Elapsed stay populated). This is how campaign-scale runs stay in
+	// Report's Results carry Trials == nil (identity, N and Elapsed
+	// stay populated). This is how campaign-scale runs stay in
 	// bounded memory: trials stream into an append-only store instead
 	// of accumulating per-spec slabs. Appends happen serially, after
 	// the shard is journaled (the journal stays the durability source,
@@ -321,7 +320,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				busyStart := time.Now()
 				sh := shards[i]
-				data, err := cache.get(sh.Spec)
+				var data []float64
+				var err error
+				if c.Execute == nil {
+					// Only a local shard injects into the dataset; an
+					// executor brings its own.
+					data, err = cache.get(sh.Spec)
+				}
 				if err != nil {
 					slots[i].status.State = ShardFailed
 					slots[i].status.Error = err.Error()
@@ -399,7 +404,7 @@ feed:
 
 	// Assemble per-spec results from shard trials, in bit order. With a
 	// Sink the trials already streamed out shard by shard, so the
-	// Result keeps identity, baseline and timing but carries no slab.
+	// Result keeps identity and timing but carries no slab.
 	for si, sp := range specs {
 		var parts []slot
 		complete := true
@@ -432,17 +437,12 @@ feed:
 			}
 			elapsed += p.status.Duration()
 		}
-		data, err := cache.get(sp)
-		if err != nil {
-			return nil, err // cache already generated it during the run; only a fresh resume can hit this
-		}
 		rep.Results[si] = &core.Result{
-			Field:    sp.Field,
-			Codec:    sp.Codec,
-			N:        len(data),
-			Baseline: stats.Summarize(data),
-			Trials:   trials,
-			Elapsed:  elapsed,
+			Field:   sp.Field,
+			Codec:   sp.Codec,
+			N:       sp.N,
+			Trials:  trials,
+			Elapsed: elapsed,
 		}
 	}
 

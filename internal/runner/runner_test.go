@@ -3,7 +3,10 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -218,7 +221,8 @@ func TestResumeParamMismatch(t *testing.T) {
 }
 
 // TestCorruptRecordRecomputed: a journal record that fails CRC (here: a
-// flipped payload byte) is treated as absent, and only that shard is
+// flipped payload byte) or carries an older format (a PJR1 record with
+// a CSV payload) is treated as absent, and only those shards are
 // recomputed — with output still identical to a clean run.
 func TestCorruptRecordRecomputed(t *testing.T) {
 	dir := t.TempDir()
@@ -244,13 +248,34 @@ func TestCorruptRecordRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Rewrite another record as a well-formed PJR1 record: the same
+	// meta line, its trials as CSV, a valid CRC over that body.
+	meta, trials, err := readRecord(recs[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaJSON, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.Write(metaJSON)
+	body.WriteByte('\n')
+	if err := core.WriteTrialsCSV(&body, trials); err != nil {
+		t.Fatal(err)
+	}
+	pjr1 := fmt.Sprintf("PJR1 %08x %d\n%s", crc32.ChecksumIEEE(body.Bytes()), body.Len(), body.Bytes())
+	if err := os.WriteFile(recs[5], []byte(pjr1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	cfg := testCfg(dir)
 	cfg.Resume = true
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Complete() || rep.Completed != 1 || rep.Resumed != testShardTotal-1 {
+	if !rep.Complete() || rep.Completed != 2 || rep.Resumed != testShardTotal-2 {
 		t.Fatalf("corrupt-record resume profile: %+v", rep)
 	}
 	for i := range rep.Specs {
@@ -569,8 +594,8 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestRecordRoundTrip: journal records survive write/read with exact
-// meta and trial content, and reject truncation.
+// TestRecordRoundTrip: PJR2 journal records survive write/read with
+// exact meta and bit-identical trials, and reject truncation.
 func TestRecordRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	trials, err := core.RunRange(context.Background(), core.DefaultConfig(), mustCodecT(t, "posit16"), "CESM/CLOUD", []float64{1.5, -2.25, 3.75}, 0, 4)
@@ -595,9 +620,22 @@ func TestRecordRoundTrip(t *testing.T) {
 	if got != meta || len(gotTrials) != len(trials) {
 		t.Fatalf("round trip: meta %+v, %d trials", got, len(gotTrials))
 	}
+	var wantCSV, gotCSV bytes.Buffer
+	if err := core.WriteTrialsCSV(&wantCSV, trials); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteTrialsCSV(&gotCSV, gotTrials); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
+		t.Fatal("round trip changed trial content")
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("PJR2 ")) {
+		t.Fatalf("record header %q, want PJR2", raw[:min(len(raw), 20)])
 	}
 	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
 		t.Fatal(err)

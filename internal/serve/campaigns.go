@@ -13,7 +13,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -202,47 +201,23 @@ func (s *Server) handleCampaignResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	wantAggregate := acceptsAggregate(r.Header.Get("Accept"))
 	rd, err := store.Open(filepath.Join(j.dir, store.FileName(ref.Field, ref.Format)))
-	if err == nil {
-		defer func() {
-			if cerr := rd.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "positserve: result close:", cerr)
-			}
-		}()
-		if wantAggregate {
-			writeJSON(w, http.StatusOK, rd.Doc())
-			return
-		}
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		if rerr := rd.RenderCSV(w); rerr != nil {
-			// Headers are committed; all we can do is log the broken pipe.
-			fmt.Fprintln(os.Stderr, "positserve: result stream:", rerr)
-		}
-		return
-	}
-
-	// No store file: a legacy CSV published by an older server. It has
-	// no footer aggregates, so only the CSV representation exists.
-	if wantAggregate {
-		writeError(w, http.StatusConflict, codeNotReady,
-			"campaign %s predates the columnar store; only the CSV representation is available", st.ID)
-		return
-	}
-	f, err := os.Open(filepath.Join(j.dir, csvName(ref.Field, ref.Format)))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, "open result: %v", err)
 		return
 	}
 	defer func() {
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "positserve: result close:", err)
+		if cerr := rd.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "positserve: result close:", cerr)
 		}
 	}()
+	if acceptsAggregate(r.Header.Get("Accept")) {
+		writeJSON(w, http.StatusOK, rd.Doc())
+		return
+	}
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	if _, err := io.Copy(w, f); err != nil {
+	if err := rd.RenderCSV(w); err != nil {
 		// Headers are committed; all we can do is log the broken pipe.
 		fmt.Fprintln(os.Stderr, "positserve: result stream:", err)
 	}

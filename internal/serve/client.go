@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"strconv"
@@ -22,10 +21,10 @@ import (
 	"time"
 
 	"positres/internal/core"
+	"positres/internal/numfmt"
 	"positres/internal/runner"
 	"positres/internal/spec"
 	"positres/internal/store"
-	"positres/internal/wire"
 )
 
 // APIError is a positserve error envelope surfaced client-side.
@@ -314,10 +313,8 @@ func (c *Client) resultOnce(ctx context.Context, path string, w io.Writer) (int6
 // summary (GET /v1/campaigns/{id}/results with Accept:
 // application/json) as a validated positres-aggregate/v1 document.
 // The transfer is O(bits) regardless of campaign size — the server
-// answers from the store footer, never rescanning trials. A campaign
-// published by a pre-store server has no aggregates; the server
-// answers 409 not_ready and that surfaces here as an *APIError.
-// Retries follow the client's policy, like any GET.
+// answers from the store footer, never rescanning trials. Retries
+// follow the client's policy, like any GET.
 func (c *Client) FetchAggregate(ctx context.Context, id, field, format string) (*store.AggregateDoc, error) {
 	path := fmt.Sprintf("/v1/campaigns/%s/results?field=%s&format=%s", id, field, format)
 	attempts := c.attempts()
@@ -332,10 +329,10 @@ func (c *Client) FetchAggregate(ctx context.Context, id, field, format string) (
 	}
 }
 
-// aggregateOnce is one attempt of FetchAggregate. The Content-Type
-// switch mirrors RunShardStats: only a JSON answer is parsed as an
-// aggregate document; anything else (an old server ignoring Accept
-// and streaming CSV) is an explicit error, never misparsed data.
+// aggregateOnce is one attempt of FetchAggregate. Only a JSON answer
+// is parsed as an aggregate document; anything else (an old server
+// ignoring Accept and streaming CSV) is an explicit error, never
+// misparsed data.
 func (c *Client) aggregateOnce(ctx context.Context, path string) (*store.AggregateDoc, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
@@ -369,11 +366,8 @@ func (c *Client) RegisterWorker(ctx context.Context, workerURL string) error {
 
 // ShardWireStats describes how one shard response travelled — the
 // observability sidecar of RunShardStats, feeding the coordinator's
-// wire_frames / wire_bytes / wire_csv_fallbacks counters on /metrics.
+// wire_frames / wire_bytes counters on /metrics.
 type ShardWireStats struct {
-	// Binary reports that the response was a packed trial frame
-	// (internal/wire); false means the worker fell back to CSV.
-	Binary bool
 	// BodyBytes is the response body size in bytes.
 	BodyBytes int64
 }
@@ -387,25 +381,19 @@ func (c *Client) RunShard(ctx context.Context, req ShardRequest) ([]core.Trial, 
 }
 
 // RunShardStats executes one shard on a worker (POST /v1/shards) and
-// parses the trial stream it returns, reporting how the response
-// travelled. The client offers the packed binary trial encoding
-// (docs/WIRE.md) in Accept; a worker that speaks it answers with a
-// self-verifying frame, and any other worker streams text/csv exactly
-// as before — the trials are bit-identical either way, since both
-// encodings round-trip float64 patterns losslessly. That fallback is
-// the whole version-negotiation story: a mixed fleet degrades to CSV
-// per worker, never to wrong data.
+// decodes the store block it answers with (docs/STORE.md), reporting
+// the body size. The block is lossless, so the trials are
+// bit-identical to a local computation.
 //
 // Two hardening measures guard the hop. The caller's context deadline
 // (the runner's shard watchdog) is forwarded in X-Positres-Deadline-Ms
 // so the worker abandons computation when the coordinator has already
-// given up. And every response is verified before any trial is
-// returned — a binary frame through its length prefix, internal
-// CRC-32 and the X-Positres-Rows cross-check; a CSV body through the
-// X-Positres-Rows count and X-Positres-Crc32 trailer — so a
-// truncated or corrupted body is an error (and therefore a retryable
-// shard failure at the runner), never silently merged data.
-// RunShardStats itself never retries; the runner owns shard retry.
+// given up. And the block is verified before any trial is returned —
+// its length prefix and CRC-32, then its bit range and row count
+// against the request's — so a truncated, corrupted or misrouted body
+// is an error (and therefore a retryable shard failure at the runner),
+// never silently merged data. RunShardStats itself never retries; the
+// runner owns shard retry.
 func (c *Client) RunShardStats(ctx context.Context, req ShardRequest) ([]core.Trial, ShardWireStats, error) {
 	var stats ShardWireStats
 	raw, err := json.Marshal(req)
@@ -417,7 +405,6 @@ func (c *Client) RunShardStats(ctx context.Context, req ShardRequest) ([]core.Tr
 		return nil, stats, fmt.Errorf("positserve client: shard: %w", err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("Accept", wire.ContentType+", text/csv")
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {
 			hreq.Header.Set(headerShardDeadline, strconv.FormatInt(ms, 10))
@@ -432,80 +419,24 @@ func (c *Client) RunShardStats(ctx context.Context, req ShardRequest) ([]core.Tr
 		return nil, stats, decodeAPIError(resp)
 	}
 
-	if ct := resp.Header.Get("Content-Type"); strings.HasPrefix(ct, wire.ContentType) {
-		stats.Binary = true
-		trials, n, err := wire.ReadFrame(resp.Body)
-		stats.BodyBytes = int64(n)
-		if err != nil {
-			return nil, stats, fmt.Errorf("positserve client: shard frame: %w", err)
-		}
-		if rowsHdr := resp.Header.Get(headerShardRows); rowsHdr != "" {
-			wantRows, aerr := strconv.Atoi(rowsHdr)
-			if aerr != nil {
-				return nil, stats, fmt.Errorf("positserve client: shard rows header %q: %w", rowsHdr, aerr)
-			}
-			if len(trials) != wantRows {
-				return nil, stats, fmt.Errorf("positserve client: shard frame carries %d rows, header announces %d", len(trials), wantRows)
-			}
-		}
-		return trials, stats, nil
+	// The worker accepted the spec, so it validates here too; the
+	// defaults and the canonical format name it applied name the
+	// block's trials and fix their count.
+	sp := req.Spec
+	if verr := sp.Validate(); verr != nil || len(sp.Fields) != 1 || len(sp.Formats) != 1 {
+		return nil, stats, fmt.Errorf("positserve client: shard spec is not a single valid (field, format) pair")
 	}
-
-	crc := crc32.NewIEEE()
-	counted := &countingReader{r: io.TeeReader(resp.Body, crc)}
-	trials, err := core.ReadTrialsCSV(counted)
+	codec, err := numfmt.Lookup(sp.Formats[0])
 	if err != nil {
-		stats.BodyBytes = counted.n
-		return nil, stats, fmt.Errorf("positserve client: shard response: %w", err)
+		return nil, stats, fmt.Errorf("positserve client: shard: %w", err)
 	}
-	if rowsHdr := resp.Header.Get(headerShardRows); rowsHdr != "" {
-		if err := verifyShardIntegrity(resp, crc, rowsHdr, len(trials), counted); err != nil {
-			stats.BodyBytes = counted.n
-			return nil, stats, err
-		}
+	rows := (req.BitHi - req.BitLo) * sp.TrialsPerBit
+	trials, n, err := store.ReadBlock(resp.Body, sp.Fields[0], codec.Name(), req.BitLo, req.BitHi, rows)
+	stats.BodyBytes = n
+	if err != nil {
+		return nil, stats, fmt.Errorf("positserve client: shard block: %w", err)
 	}
-	stats.BodyBytes = counted.n
 	return trials, stats, nil
-}
-
-// countingReader counts the bytes its reads deliver.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-// Read implements io.Reader.
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// verifyShardIntegrity checks a shard response against its integrity
-// envelope: announced row count, and the CRC-32 trailer over the exact
-// body bytes. A missing trailer means the body was cut before its end
-// (truncation strips trailers), so it fails too.
-func verifyShardIntegrity(resp *http.Response, crc interface{ Sum32() uint32 }, rowsHdr string, gotRows int, body io.Reader) error {
-	wantRows, err := strconv.Atoi(rowsHdr)
-	if err != nil {
-		return fmt.Errorf("positserve client: shard rows header %q: %w", rowsHdr, err)
-	}
-	if gotRows != wantRows {
-		return fmt.Errorf("positserve client: shard truncated: %d of %d announced rows", gotRows, wantRows)
-	}
-	// Drain any bytes past the last CSV record so the CRC covers the
-	// whole body and the transport surfaces the trailer.
-	if _, err := io.Copy(io.Discard, body); err != nil {
-		return fmt.Errorf("positserve client: shard drain: %w", err)
-	}
-	want := resp.Trailer.Get(trailerShardCRC)
-	if want == "" {
-		return fmt.Errorf("positserve client: shard integrity trailer missing (body truncated in transit)")
-	}
-	if got := fmt.Sprintf("%08x", crc.Sum32()); got != strings.ToLower(want) {
-		return fmt.Errorf("positserve client: shard CSV corrupted: crc32 %s, announced %s", got, want)
-	}
-	return nil
 }
 
 // Health probes GET /healthz, returning the server's draining flag.

@@ -8,12 +8,10 @@ package serve
 // retry and exponential backoff drive reassignment — a dead or slow
 // worker is indistinguishable from a transient local fault, and the
 // shard simply lands on another worker on the next attempt. Because
-// workers return byte-exact trials — packed binary frames
-// (docs/WIRE.md) from peers that speak them, CSV from ones that don't
-// — and the coordinator journals them through the same CRC-guarded
-// records a local run uses, the final campaign CSVs are
-// byte-identical to a single-node run (TestDistributedEquivalence and
-// TestMixedFleetEquivalence pin this).
+// workers return byte-exact trials as store blocks (docs/STORE.md) and
+// the coordinator journals them through the same CRC-guarded records
+// a local run uses, the final campaign CSVs are byte-identical to a
+// single-node run (TestDistributedEquivalence pins this).
 
 import (
 	"context"
@@ -187,7 +185,7 @@ func (d *dispatcher) dispatch(ctx context.Context, cs *spec.CampaignSpec, sh run
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: shard %s: %w", w.url, sh.ID(), err)
 	}
-	d.metrics.ObserveWire(wireStats.Binary, wireStats.BodyBytes)
+	d.metrics.ObserveWire(wireStats.BodyBytes)
 	return trials, nil
 }
 

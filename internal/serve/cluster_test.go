@@ -10,9 +10,6 @@ import (
 	"bytes"
 	"context"
 	"net/http"
-	"net/http/httptest"
-	"net/http/httputil"
-	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -129,109 +126,30 @@ func TestDistributedEquivalence(t *testing.T) {
 	if wantShards := int64(cs.TotalShards()); completed != wantShards {
 		t.Errorf("completed dispatches = %d, want %d", completed, wantShards)
 	}
-	// A homogeneous current-version fleet negotiates binary everywhere:
-	// every shard a frame, no CSV fallbacks.
-	if snap.WireFrames != int64(cs.TotalShards()) || snap.WireFallbacks != 0 {
-		t.Errorf("wire_frames = %d fallbacks = %d, want %d and 0",
-			snap.WireFrames, snap.WireFallbacks, cs.TotalShards())
+	// Every merged shard travelled as one block, and nothing fell back.
+	if snap.WireFrames != int64(cs.TotalShards()) || snap.WireBytes == 0 || snap.WireFallbacks != 0 {
+		t.Errorf("wire_frames = %d wire_bytes = %d fallbacks = %d, want %d, > 0 and 0",
+			snap.WireFrames, snap.WireBytes, snap.WireFallbacks, cs.TotalShards())
 	}
 
 	// /metrics exposes the same snapshot under "cluster".
 	var m struct {
 		Cluster *struct {
-			Workers map[string]struct {
+			WireFrames    int64 `json:"wire_frames"`
+			WireBytes     int64 `json:"wire_bytes"`
+			WireFallbacks int64 `json:"wire_csv_fallbacks"`
+			Workers       map[string]struct {
 				ShardsCompleted uint64 `json:"shards_completed"`
 			} `json:"workers"`
 		} `json:"cluster"`
 	}
 	getJSON(t, coordTS.URL+"/metrics", &m)
 	if m.Cluster == nil || len(m.Cluster.Workers) != 3 {
-		t.Errorf("/metrics cluster section = %+v, want 3 workers", m.Cluster)
+		t.Fatalf("/metrics cluster section = %+v, want 3 workers", m.Cluster)
 	}
-}
-
-// TestMixedFleetEquivalence pins the wire format's compatibility
-// story: a fleet where one worker speaks the packed binary trial
-// encoding and another only CSV (simulated by a proxy that strips the
-// Accept offer, exactly what a pre-wire worker would see) must
-// produce campaign CSVs byte-identical to a single-node run, with the
-// coordinator's wire counters attributing traffic to both paths.
-func TestMixedFleetEquivalence(t *testing.T) {
-	cs := clusterSpec()
-
-	// Baseline: the same campaign on a single node.
-	_, single := newTestServer(t, Config{})
-	want := resultCSVs(t, single.URL, runCampaign(t, single.URL, cs))
-
-	// Worker 1: a normal instance — answers the binary offer.
-	binary := newWorkerFleet(t, 1)
-
-	// Worker 2: a normal instance behind a proxy that deletes the
-	// Accept header, so the worker never sees the binary offer and
-	// streams the CSV envelope — indistinguishable, to the
-	// coordinator, from a worker running a build without the wire
-	// package.
-	_, legacyTS := newTestServer(t, Config{})
-	legacyURL, err := url.Parse(legacyTS.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := httputil.NewSingleHostReverseProxy(legacyURL)
-	inner := proxy.Director
-	proxy.Director = func(r *http.Request) {
-		inner(r)
-		r.Header.Del("Accept")
-	}
-	proxyTS := httptest.NewServer(proxy)
-	defer proxyTS.Close()
-
-	// Two concurrent shard slots: the second pick lands while the first
-	// dispatch is in flight, so busy-based selection alternates between
-	// the binary worker and the proxied one and both paths carry shards.
-	coord, coordTS := newTestServer(t, Config{
-		Workers:         append(binary, proxyTS.URL),
-		CampaignWorkers: 2,
-	})
-	st := runCampaign(t, coordTS.URL, cs)
-	got := resultCSVs(t, coordTS.URL, st)
-
-	if len(want) != 4 || len(got) != len(want) {
-		t.Fatalf("result sets differ: single %d, mixed %d", len(want), len(got))
-	}
-	for key, w := range want {
-		if !bytes.Equal(w, got[key]) {
-			t.Errorf("%s: mixed-fleet CSV differs from single-node (%d vs %d bytes)", key, len(got[key]), len(w))
-		}
-	}
-
-	// Both transports carried shards, and binary bytes were tallied.
-	snap := coord.clusterMetrics.Snapshot()
-	if snap.WireFrames == 0 {
-		t.Error("wire_frames = 0, want > 0 from the binary-capable worker")
-	}
-	if snap.WireFallbacks == 0 {
-		t.Error("wire_csv_fallbacks = 0, want > 0 from the Accept-stripped worker")
-	}
-	if snap.WireBytes == 0 {
-		t.Error("wire_bytes = 0, want > 0")
-	}
-	if total := snap.WireFrames + snap.WireFallbacks; total != int64(cs.TotalShards()) {
-		t.Errorf("wire_frames+wire_csv_fallbacks = %d, want %d (every merged shard observed once)", total, cs.TotalShards())
-	}
-
-	// /metrics exposes the wire counters.
-	var m struct {
-		Cluster *struct {
-			WireFrames    int64 `json:"wire_frames"`
-			WireBytes     int64 `json:"wire_bytes"`
-			WireFallbacks int64 `json:"wire_csv_fallbacks"`
-		} `json:"cluster"`
-	}
-	getJSON(t, coordTS.URL+"/metrics", &m)
-	if m.Cluster == nil || m.Cluster.WireFrames != snap.WireFrames ||
-		m.Cluster.WireBytes != snap.WireBytes || m.Cluster.WireFallbacks != snap.WireFallbacks {
-		t.Errorf("/metrics cluster wire counters = %+v, want %d/%d/%d",
-			m.Cluster, snap.WireFrames, snap.WireBytes, snap.WireFallbacks)
+	if m.Cluster.WireFrames != snap.WireFrames || m.Cluster.WireBytes != snap.WireBytes || m.Cluster.WireFallbacks != 0 {
+		t.Errorf("/metrics cluster wire counters = %d/%d/%d, want %d/%d/0",
+			m.Cluster.WireFrames, m.Cluster.WireBytes, m.Cluster.WireFallbacks, snap.WireFrames, snap.WireBytes)
 	}
 }
 

@@ -1,8 +1,8 @@
 package serve
 
 // Tests for the resiliency hardening: client retry policy with
-// Retry-After honor, the shard CSV integrity envelope (rows header +
-// CRC trailer), coordinator→worker deadline propagation, and the
+// Retry-After honor, the shard block checks (length prefix, CRC, bit
+// range, row count), coordinator→worker deadline propagation, and the
 // derived Retry-After backpressure hint. The headline test proves the
 // acceptance criterion of the chaos harness: a corrupted or truncated
 // worker response is retried and NEVER merged into the journal — the
@@ -15,13 +15,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"positres/internal/chaos"
 	"positres/internal/spec"
+	"positres/internal/store"
 )
 
 // noSleep is a RetryPolicy.Sleep that records requested delays and
@@ -129,7 +129,7 @@ func TestClientInject(t *testing.T) {
 	}
 }
 
-// shardReq is a worker shard request big enough (~250 KB of CSV) that
+// shardReq is a worker shard request big enough (~120 KB block) that
 // every chaos body fault lands inside the payload.
 func shardReq() ShardRequest {
 	return ShardRequest{
@@ -152,8 +152,7 @@ func TestRunShardIntegrityThroughCleanProxy(t *testing.T) {
 		t.Fatal("baseline shard returned no trials")
 	}
 
-	// A transparent chaos proxy must not trip the integrity check: the
-	// CRC trailer survives the hop via TrailerPrefix re-emission.
+	// A transparent chaos proxy must not trip the block checks.
 	p, err := chaos.New(worker.URL, chaos.Faults{}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -171,16 +170,43 @@ func TestRunShardIntegrityThroughCleanProxy(t *testing.T) {
 
 func TestRunShardRejectsCorruptAndTruncatedBodies(t *testing.T) {
 	_, worker := newTestServer(t, Config{})
+	good, err := NewClient(worker.URL, nil).RunShard(context.Background(), shardReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Well-formed, CRC-valid blocks for the wrong shard: half the bit
+	// range, and one row short.
+	wrongRange, err := store.AppendBlock(nil, "CESM/CLOUD", "posit8", 0, 4, good[:4*313])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongRows, err := store.AppendBlock(nil, "CESM/CLOUD", "posit8", 0, 8, good[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		faults chaos.Faults
+		block  []byte // when set, a fake worker answers with it
 	}{
-		{"corrupt", chaos.Faults{Seed: 7, CorruptP: 1}},
-		{"truncate", chaos.Faults{Seed: 7, TruncateP: 1}},
+		{"corrupt", chaos.Faults{Seed: 7, CorruptP: 1}, nil},
+		{"truncate", chaos.Faults{Seed: 7, TruncateP: 1}, nil},
+		{"wrong bit range", chaos.Faults{}, wrongRange},
+		{"wrong row count", chaos.Faults{}, wrongRows},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := chaos.New(worker.URL, tc.faults, t.Logf)
+			target := worker.URL
+			if tc.block != nil {
+				fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if _, err := w.Write(tc.block); err != nil {
+						t.Log(err)
+					}
+				}))
+				defer fake.Close()
+				target = fake.URL
+			}
+			p, err := chaos.New(target, tc.faults, t.Logf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,21 +226,15 @@ func TestRunShardForwardsDeadline(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ms, _ := strconv.ParseInt(r.Header.Get(headerShardDeadline), 10, 64)
 		gotMS.Store(ms)
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		// Header-only CSV: zero trials, no integrity envelope — the
-		// client must stay compatible with servers that predate it.
-		if _, err := io.WriteString(w, "field,format,bit,trial\n"); err != nil {
-			t.Log(err)
-		}
 	}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := NewClient(ts.URL, nil).RunShard(ctx, shardReq()); err != nil {
-		// The fake CSV has the wrong column count; only the deadline
-		// header matters here.
-		t.Logf("shard parse (expected): %v", err)
+		// The fake answers with an empty body; only the deadline header
+		// matters here.
+		t.Logf("shard decode (expected): %v", err)
 	}
 	if ms := gotMS.Load(); ms <= 0 || ms > 30_000 {
 		t.Errorf("worker saw deadline %dms, want in (0, 30000]", ms)
@@ -224,7 +244,7 @@ func TestRunShardForwardsDeadline(t *testing.T) {
 // TestCorruptShardRetriedNeverMerged is the acceptance criterion of
 // the chaos harness end to end through the real dispatcher and
 // runner: a middleman corrupts the FIRST shard response from the
-// worker (body byte flipped, original CRC trailer forwarded), the
+// worker (one block byte flipped, so its CRC no longer matches), the
 // coordinator must detect it, retry the shard, and publish a result
 // CSV byte-identical to a local, fault-free run.
 func TestCorruptShardRetriedNeverMerged(t *testing.T) {
@@ -258,26 +278,17 @@ func TestCorruptShardRetriedNeverMerged(t *testing.T) {
 			return
 		}
 		for k, vv := range resp.Header {
-			if strings.EqualFold(k, "Trailer") || strings.EqualFold(k, "Transfer-Encoding") {
-				continue
-			}
 			for _, v := range vv {
 				w.Header().Add(k, v)
 			}
 		}
 		if r.URL.Path == "/v1/shards" && shardCalls.Add(1) == 1 && len(body) > 64 {
-			body[64] ^= 0x20 // flip one byte; the CRC trailer below still
-			corrupted.Add(1) // announces the clean body's checksum
+			body[64] ^= 0x20 // flip one byte inside the block
+			corrupted.Add(1)
 		}
 		w.WriteHeader(resp.StatusCode)
 		if _, err := w.Write(body); err != nil {
 			t.Logf("middleman write: %v", err)
-			return
-		}
-		for k, vv := range resp.Trailer {
-			for _, v := range vv {
-				w.Header().Add(http.TrailerPrefix+k, v)
-			}
 		}
 	}))
 	defer middleman.Close()

@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -526,12 +525,6 @@ func publishResults(id string, rep *runner.Report, cw *store.CampaignWriter) ([]
 	return refs, nil
 }
 
-// csvName is the stable result filename for a (field, format) pair —
-// the same scheme cmd/positcampaign publishes under.
-func csvName(field, format string) string {
-	return fmt.Sprintf("%s_%s.csv", strings.ReplaceAll(field, "/", "_"), format)
-}
-
 // resultURL builds the results endpoint URL for one spec.
 func resultURL(id, field, format string) string {
 	return fmt.Sprintf("/v1/campaigns/%s/results?field=%s&format=%s",
@@ -562,11 +555,12 @@ func validJobID(id string) bool {
 }
 
 // recover scans the jobs directory and rebuilds the in-memory view: a
-// job whose manifest says complete and whose CSVs are all present is
-// terminal; everything else — mid-run crash ("running"), clean drain
-// ("cancelled"), partial (failed shards heal on resume), or a crash
-// between manifest completion and CSV publication — is re-enqueued
-// with Resume so the journal is replayed instead of recomputed.
+// job whose manifest says complete and whose result stores are all
+// present is terminal; everything else — mid-run crash ("running"),
+// clean drain ("cancelled"), partial (failed shards heal on resume),
+// or a crash between manifest completion and result publication — is
+// re-enqueued with Resume so the journal is replayed instead of
+// recomputed.
 func (s *jobStore) recover() ([]*job, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -651,22 +645,19 @@ func (s *jobStore) recoverOne(id string) (*job, bool, error) {
 			close(j.done)
 			return j, false, nil
 		}
-		// Manifest finished but CSVs missing (crash inside
+		// Manifest finished but stores missing (crash inside
 		// publication): resume replays the journal and republishes.
 	}
 	return j, true, nil
 }
 
-// existingResults checks for every spec's published result — a sealed
-// .pts store or a legacy CSV from an older server — returning refs
-// only when all are present.
+// existingResults checks for every spec's sealed .pts store,
+// returning refs only when all are present.
 func existingResults(dir, id string, specs []runner.Spec) ([]ResultRef, bool) {
 	var refs []ResultRef
 	for _, sp := range specs {
 		if _, err := os.Stat(filepath.Join(dir, store.FileName(sp.Field, sp.Codec))); err != nil {
-			if _, cerr := os.Stat(filepath.Join(dir, csvName(sp.Field, sp.Codec))); cerr != nil {
-				return nil, false
-			}
+			return nil, false
 		}
 		refs = append(refs, ResultRef{Field: sp.Field, Format: sp.Codec, URL: resultURL(id, sp.Field, sp.Codec)})
 	}

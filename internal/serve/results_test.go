@@ -2,18 +2,13 @@ package serve
 
 // Tests of the results endpoint's content negotiation: the default CSV
 // representation must stay byte-identical to what the pre-store server
-// streamed, an explicit application/json Accept must switch to the
-// positres-aggregate/v1 summary, and campaigns published by older
-// servers (legacy CSV on disk, no .pts store) must keep serving CSV
-// while refusing the aggregate view with the existing not_ready code.
+// streamed, and an explicit application/json Accept must switch to the
+// positres-aggregate/v1 summary.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -120,53 +115,6 @@ func TestResultsContentNegotiation(t *testing.T) {
 	if !bytes.Equal(viaClient.Bytes(), csvDefault) {
 		t.Fatal("client CSV differs from the default view")
 	}
-}
-
-// TestResultsLegacyCSVFallback pins compatibility with job directories
-// written before the columnar store: a legacy CSV keeps streaming
-// unchanged, and the aggregate view is refused with the existing
-// not_ready code — no new error vocabulary.
-func TestResultsLegacyCSVFallback(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	st := completeTinyCampaign(t, ts.URL)
-	url := ts.URL + st.Results[0].URL
-	want := fetchCSV(t, url)
-
-	// Rewrite the job directory the way an old server left it: the CSV
-	// on disk, no .pts store.
-	j, ok := srv.jobs.get(st.ID)
-	if !ok {
-		t.Fatal("job vanished")
-	}
-	ref := st.Results[0]
-	if err := os.WriteFile(filepath.Join(j.dir, csvName(ref.Field, ref.Format)), want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(j.dir, store.FileName(ref.Field, ref.Format))); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := fetchCSV(t, url); !bytes.Equal(got, want) {
-		t.Fatal("legacy CSV fallback differs from the store-rendered bytes")
-	}
-	resp := getWithAccept(t, url, "application/json")
-	var env errorBody
-	if err := decodeBody(resp, &env); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusConflict || env.Error.Code != codeNotReady {
-		t.Fatalf("aggregate on legacy job: %d %+v", resp.StatusCode, env)
-	}
-	var ae *APIError
-	if _, err := NewClient(ts.URL, nil).FetchAggregate(context.Background(), st.ID, ref.Field, ref.Format); !errors.As(err, &ae) || ae.Code != codeNotReady {
-		t.Fatalf("client aggregate on legacy job: %v", err)
-	}
-}
-
-// decodeBody drains and closes a response body into out as JSON.
-func decodeBody(resp *http.Response, out interface{}) error {
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // TestMetricsLiveAggregates pins the /metrics mid-campaign aggregate

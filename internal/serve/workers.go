@@ -1,10 +1,8 @@
 package serve
 
 // The worker protocol: POST /v1/shards computes one bit-range shard
-// and streams its trials back — as a packed binary frame
-// (internal/wire, docs/WIRE.md) when the coordinator offers
-// application/x-positres-trials in Accept, as text/csv otherwise —
-// while POST /v1/workers registers a worker with a coordinator and
+// and answers with its trials as one store block (docs/STORE.md), while
+// POST /v1/workers registers a worker with a coordinator and
 // GET /v1/workers lists the registered fleet (coordinator side).
 // Every positserve process serves all three — any instance can act as
 // coordinator, worker, or both — so a cluster is just N identical
@@ -14,8 +12,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -26,25 +22,17 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
-	"positres/internal/wire"
+	"positres/internal/store"
 )
 
-// Shard integrity and deadline headers of the worker protocol. The
-// worker announces the exact row count up front and a CRC-32 (IEEE) of
-// the CSV bytes as an HTTP trailer; the coordinator's client verifies
-// both before a shard result may reach the journal, so a truncated or
-// corrupted body is a retryable shard failure, never silent data loss.
-// The deadline header carries the coordinator watchdog's remaining
-// budget so a chaos-delayed worker abandons computation in step with
-// the coordinator timing it out.
 const (
-	// headerShardRows is the response header carrying the trial count.
-	headerShardRows = "X-Positres-Rows"
-	// trailerShardCRC is the response trailer carrying the CRC-32
-	// (IEEE, lowercase hex) of the exact CSV bytes.
-	trailerShardCRC = "X-Positres-Crc32"
+	// shardMediaType is the Content-Type of a POST /v1/shards answer:
+	// one store block, self-delimiting and CRC-guarded.
+	shardMediaType = "application/x-positres-block"
 	// headerShardDeadline is the request header carrying the
-	// coordinator's remaining shard budget in milliseconds.
+	// coordinator watchdog's remaining shard budget in milliseconds, so
+	// a delayed worker abandons computation in step with the
+	// coordinator timing it out.
 	headerShardDeadline = "X-Positres-Deadline-Ms"
 )
 
@@ -83,8 +71,8 @@ type workerList struct {
 
 // handleRunShard serves POST /v1/shards: validate the single-pair
 // spec, regenerate the field deterministically, compute the bit range
-// through the same core engine a local run uses, and stream the
-// trials as CSV. The response is byte-exact trial data, so the
+// through the same core engine a local run uses, and answer with the
+// trials as one block. The block is byte-exact trial data, so the
 // coordinator's journal — and therefore the final CSVs — cannot
 // distinguish local from remote computation.
 func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
@@ -140,47 +128,19 @@ func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Binary negotiation (docs/WIRE.md): a coordinator that offers
-	// application/x-positres-trials in Accept gets a packed frame; any
-	// other client gets the CSV envelope below, unchanged — an old
-	// coordinator never sees a byte it cannot parse.
-	if wire.Accepts(r.Header.Get("Accept")) {
-		frame, ferr := wire.EncodeFrame(trials)
-		if ferr != nil { // unreachable for engine output; fail loud, not silent
-			writeError(w, http.StatusInternalServerError, codeInternal, "shard frame encode: %v", ferr)
-			return
-		}
-		// The frame is self-delimiting and self-verifying (length
-		// prefix + internal CRC-32), so it needs no trailer; the row
-		// count header stays as a cheap cross-check.
-		w.Header().Set(headerShardRows, strconv.Itoa(len(trials)))
-		w.Header().Set("Content-Type", wire.ContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-		w.WriteHeader(http.StatusOK)
-		if _, werr := w.Write(frame); werr != nil {
-			// The coordinator sees a truncated frame (ErrTruncated) and
-			// retries the shard elsewhere.
-			fmt.Fprintln(os.Stderr, "positserve: shard frame stream:", werr)
-		}
+	block, err := store.AppendBlock(nil, req.Spec.Fields[0], codec.Name(), req.BitLo, req.BitHi, trials)
+	if err != nil { // unreachable for engine output; fail loud, not silent
+		writeError(w, http.StatusInternalServerError, codeInternal, "shard block encode: %v", err)
 		return
 	}
-
-	// Integrity envelope: exact row count as a header (known before the
-	// body) and a CRC-32 of the CSV bytes as a declared trailer (known
-	// only after). A fault anywhere on the wire breaks at least one of
-	// them, and the client refuses to journal the shard.
-	w.Header().Set("Trailer", trailerShardCRC)
-	w.Header().Set(headerShardRows, strconv.Itoa(len(trials)))
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+	w.Header().Set("Content-Type", shardMediaType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(block)))
 	w.WriteHeader(http.StatusOK)
-	crc := crc32.NewIEEE()
-	if err := core.WriteTrialsCSV(io.MultiWriter(w, crc), trials); err != nil {
-		// Headers are committed; the coordinator sees a truncated CSV,
-		// fails the integrity check, and retries the shard elsewhere.
-		fmt.Fprintln(os.Stderr, "positserve: shard stream:", err)
-		return // no trailer: the client treats its absence as truncation
+	if _, err := w.Write(block); err != nil {
+		// The coordinator sees a truncated block and retries the shard
+		// elsewhere.
+		fmt.Fprintln(os.Stderr, "positserve: shard block stream:", err)
 	}
-	w.Header().Set(trailerShardCRC, fmt.Sprintf("%08x", crc.Sum32()))
 }
 
 // handleRegisterWorker serves POST /v1/workers: add (idempotently)

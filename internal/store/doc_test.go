@@ -22,7 +22,7 @@ d03f555555555555c53f337b56167e00000050545346adafb3d10701174901010201010101000108
 0000000000d03f0000000000000000000000000000d03f000000000000d03f02202afa0babfcbf010000
 000001b101010000000001890101942b514d8200000050545345`
 
-// docExampleTrial is the same trial docs/WIRE.md uses: 1.5 as posit8
+// docExampleTrial is the trial of docs/STORE.md's example: 1.5 as posit8
 // (0x44), bit 1 flipped to 0x46 → 1.75, a fraction hit at regime k=1.
 var docExampleTrial = core.Trial{
 	Field: "demo/field", Codec: "posit8",

@@ -2,9 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"positres/internal/core"
@@ -151,4 +155,110 @@ func FuzzOpen(f *testing.F) {
 		var buf bytes.Buffer
 		_ = r.RenderCSV(&buf) // must not panic; errors are acceptable
 	})
+}
+
+// damagedBlock is one class of damage a block reader must refuse.
+type damagedBlock struct {
+	name string
+	data []byte
+}
+
+// damagedBlocks derives one variant of good per damage class: framing
+// faults, single-bit flips, and CRC-valid encodings AppendBlock never
+// produces.
+func damagedBlocks(good []byte) []damagedBlock {
+	flip := func(off int) []byte {
+		bad := append([]byte(nil), good...)
+		bad[off] ^= 0x04
+		return bad
+	}
+	// edit rewrites a copy of the payload and frames it with a valid
+	// length prefix and CRC.
+	edit := func(f func(p []byte) []byte) []byte {
+		return reframe(f(append([]byte(nil), good[4:len(good)-4]...)))
+	}
+	return []damagedBlock{
+		{"empty input", nil},
+		{"short prefix", good[:3]},
+		{"length prefix below crc", []byte{3, 0, 0, 0, 'P', 'T', 'S'}},
+		{"oversized declared length", append([]byte{0xff, 0xff, 0xff, 0xff}, good[4:]...)},
+		{"truncated body", good[:len(good)/2]},
+		{"truncated crc", good[:len(good)-2]},
+		{"flipped payload bit", flip(len(good) / 2)},
+		{"flipped crc bit", flip(len(good) - 2)},
+		{"bad magic", edit(func(p []byte) []byte { p[0] = 'X'; return p })},
+		{"column count skew", edit(func(p []byte) []byte { p[4]--; return p })},
+		{"overlong varint", edit(func(p []byte) []byte {
+			return append(append(append([]byte(nil), p[:5]...), 0x80, 0x00), p[6:]...) // bit_lo 0 in two bytes
+		})},
+		{"trailing byte", edit(func(p []byte) []byte { return append(p, 0) })},
+	}
+}
+
+// TestDecodeDamagedBlocks requires both block readers to refuse every
+// damage class with ErrCorrupt — never a panic, never trials.
+func TestDecodeDamagedBlocks(t *testing.T) {
+	good, err := AppendBlock(nil, "CESM/CLOUD", "posit16", 0, 2, seedTrial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range damagedBlocks(good) {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := DecodeBlock(tc.data, "CESM/CLOUD", "posit16", 0, 2, 3); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("DecodeBlock: %v, want ErrCorrupt", err)
+			}
+			if _, _, err := ReadBlock(bytes.NewReader(tc.data), "CESM/CLOUD", "posit16", 0, 2, 3); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("ReadBlock: %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// FuzzDecodeBlock hammers the block decoder — the one that reads shard
+// responses off the network and journal records off disk — with
+// arbitrary bytes and arbitrary expected shapes. Whatever the input,
+// it must return an error or trials, never panic, never allocate more
+// than a small multiple of the input, and anything it accepts must
+// re-encode to exactly the same bytes. Wired into `make fuzz-short`.
+func FuzzDecodeBlock(f *testing.F) {
+	good, err := AppendBlock(nil, "CESM/CLOUD", "posit16", 0, 2, seedTrial())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good, 0, 2, 3)
+	for _, d := range damagedBlocks(good) {
+		f.Add(d.data, 0, 2, 3)
+	}
+	// A well-formed block for the wrong shard.
+	f.Add(good, 0, 3, 3)
+	f.Add(good, 0, 2, 1<<40)
+	f.Fuzz(func(t *testing.T, data []byte, bitLo, bitHi, rows int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		trials, err := DecodeBlock(data, "CESM/CLOUD", "posit16", bitLo, bitHi, rows)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(16*len(data)+1<<16) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		if len(trials) != rows {
+			t.Fatalf("accepted %d trials, expected %d", len(trials), rows)
+		}
+		again, err := AppendBlock(nil, "CESM/CLOUD", "posit16", bitLo, bitHi, trials)
+		if err != nil {
+			t.Fatalf("re-encode of accepted trials failed: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted block re-encodes differently:\n got %x\nwant %x", again, data)
+		}
+	})
+}
+
+// reframe wraps a block payload in its length prefix and CRC.
+func reframe(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)+4))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }

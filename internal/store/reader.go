@@ -154,118 +154,8 @@ func (r *Reader) readBlock(b blockInfo, buf []byte, dst []core.Trial) ([]byte, [
 	if _, err := r.f.ReadAt(buf, b.Offset); err != nil {
 		return buf, dst, fmt.Errorf("%w: block at %d: %v", ErrCorrupt, b.Offset, err)
 	}
-	dst, err := r.decodeBlock(buf, b, dst)
+	dst, err := appendDecoded(dst, buf, r.field, r.codec, b.BitLo, b.BitHi, b.Rows)
 	return buf, dst, err
-}
-
-// decodeBlock decodes one block's columns into trials appended to
-// dst, verifying the CRC first and every length and index before use.
-func (r *Reader) decodeBlock(data []byte, b blockInfo, dst []core.Trial) ([]core.Trial, error) {
-	payload, err := unwrapFrame(data, blockMagic)
-	if err != nil {
-		return dst, err
-	}
-	c := &cursor{buf: payload}
-	if cols := c.byte(); c.err == nil && int(cols) != len(trialWireHeader) {
-		return dst, fmt.Errorf("%w: block carries %d columns per row, this reader maps %d",
-			ErrCorrupt, cols, len(trialWireHeader))
-	}
-	bitLo := c.intv()
-	bitHi := c.intv()
-	if c.err == nil && (bitLo != b.BitLo || bitHi != b.BitHi) {
-		c.fail("block bit range [%d, %d) disagrees with footer index [%d, %d)", bitLo, bitHi, b.BitLo, b.BitHi)
-	}
-	nNames := c.uvarint()
-	if c.err == nil && nNames > maxNames {
-		c.fail("name table of %d entries exceeds %d", nNames, maxNames)
-	}
-	names := make([]string, 0, 8)
-	for i := uint64(0); c.err == nil && i < nNames; i++ {
-		names = append(names, c.str())
-	}
-	rows := c.uvarint()
-	if c.err == nil && rows != uint64(b.Rows) {
-		c.fail("block declares %d rows, footer index %d", rows, b.Rows)
-	}
-	// Each row costs at least 7 varint/meta bytes plus 40 fixed float
-	// bytes across the columns; refuse impossible counts before
-	// allocating.
-	if c.err == nil {
-		if remaining := uint64(len(c.buf) - c.off); rows > remaining/41 {
-			c.fail("%d rows declared, %d payload bytes remain", rows, remaining)
-		}
-	}
-	if c.err != nil {
-		return dst, c.err
-	}
-	base := len(dst)
-	need := base + int(rows)
-	if cap(dst) < need {
-		grown := make([]core.Trial, need)
-		copy(grown, dst)
-		dst = grown[:base]
-	}
-	// Every field of every row is assigned by the column loops below,
-	// so extending into reused capacity needs no zeroing.
-	dst = dst[:need]
-	out := dst[base:]
-	for i := range out {
-		tr := &out[i]
-		tr.Field = r.field
-		tr.Codec = r.codec
-		tr.Bit = c.intv()
-		if c.err == nil && (tr.Bit < bitLo || tr.Bit >= bitHi) {
-			c.fail("row %d bit %d outside block range [%d, %d)", i, tr.Bit, bitLo, bitHi)
-		}
-	}
-	for i := range out {
-		out[i].Seq = c.intv()
-	}
-	for i := range out {
-		out[i].Index = c.intv()
-	}
-	for i := range out {
-		out[i].OrigBits = c.uvarint()
-	}
-	for i := range out {
-		out[i].FaultyBits = c.uvarint()
-	}
-	for i := range out {
-		meta := c.byte()
-		out[i].Catastrophic = meta&1 != 0
-		if idx := int(meta >> 1); c.err == nil {
-			if idx >= len(names) {
-				c.fail("row %d bit-field name index %d past table of %d", i, idx, len(names))
-			} else {
-				out[i].FieldName = names[idx]
-			}
-		}
-	}
-	for i := range out {
-		out[i].RegimeK = c.varint()
-	}
-	for i := range out {
-		out[i].OrigValue = c.float()
-	}
-	for i := range out {
-		out[i].ReprValue = c.float()
-	}
-	for i := range out {
-		out[i].FaultyVal = c.float()
-	}
-	for i := range out {
-		out[i].AbsErr = c.float()
-	}
-	for i := range out {
-		out[i].RelErr = c.float()
-	}
-	if c.err != nil {
-		return dst, c.err
-	}
-	if c.off != len(c.buf) {
-		return dst, fmt.Errorf("%w: %d trailing payload bytes after last column", ErrCorrupt, len(c.buf)-c.off)
-	}
-	return dst, nil
 }
 
 // RenderCSV streams the store's rows to w as CSV, byte-identical to
@@ -330,10 +220,6 @@ func (r *Reader) Verify() error {
 		raw, trials, err = r.readBlock(b, raw, trials)
 		if err != nil {
 			return err
-		}
-		if len(trials) != b.Rows {
-			return fmt.Errorf("%w: block at %d decoded %d rows, index says %d",
-				ErrCorrupt, b.Offset, len(trials), b.Rows)
 		}
 	}
 	return nil

@@ -1,13 +1,15 @@
 // Package store implements the append-only columnar trial store — the
-// on-disk format that lets a campaign outgrow memory. A .pts file
-// holds every trial of one (field, codec) pair as per-column binary
-// blocks (varints for the integer columns, raw little-endian float64
-// bit patterns for the value columns, reusing internal/wire's
-// conventions), followed by a CRC-guarded footer that indexes the
+// on-disk format that lets a campaign outgrow memory — and the block,
+// the one binary encoding of a shard's trials. A .pts file holds every
+// trial of one (field, codec) pair as one block per shard (varints for
+// the integer columns, raw little-endian float64 bit patterns for the
+// value columns), followed by a CRC-guarded footer that indexes the
 // blocks and carries the campaign's online aggregates: count, mean,
 // max and a mergeable quantile sketch per (field, bit), folded in at
 // append time so a summary is O(fields×bits) regardless of trial
-// count. docs/STORE.md is the normative format specification.
+// count. The same block bytes travel on the positserve shard hop and
+// fill the runner's journal records (AppendBlock, DecodeBlock,
+// ReadBlock). docs/STORE.md is the normative format specification.
 //
 // The write path goes through internal/atomicio's PendingFile: blocks
 // stream to a temporary file for the life of the campaign and the
@@ -34,9 +36,9 @@ import (
 )
 
 // Version is the store format version this package writes. A reader
-// rejects every other value with ErrVersion — like the wire format,
-// compatibility is all-or-nothing per file (docs/STORE.md,
-// "Compatibility policy"): a reader never guesses at a layout.
+// rejects every other value with ErrVersion — compatibility is
+// all-or-nothing per file (docs/STORE.md, "Compatibility policy"): a
+// reader never guesses at a layout.
 const Version = 1
 
 // The four magics that structure a .pts file. Each spells its role so
@@ -52,9 +54,8 @@ const (
 const Ext = ".pts"
 
 // MaxBlockBytes bounds the declared length of any block or footer
-// frame a reader will honor (1 GiB, matching wire.MaxFrameBytes): far
-// above any real shard, small enough to refuse a corrupted length
-// before allocating for it.
+// frame a reader will honor (1 GiB): far above any real shard, small
+// enough to refuse a corrupted length before allocating for it.
 const MaxBlockBytes = 1 << 30
 
 // maxStringLen bounds each packed string (bit-field names, the header
@@ -62,16 +63,17 @@ const MaxBlockBytes = 1 << 30
 const maxStringLen = 1 << 16
 
 // maxNames bounds a block's bit-field name table: a row addresses its
-// name with 7 bits of the meta byte, exactly as the wire format does.
+// name with 7 bits of the meta byte.
 const maxNames = 128
 
 // Decode errors, one per failure class, matched with errors.Is. A
-// damaged file is refused whole — a reader never serves rows from a
-// block whose CRC does not match.
+// damaged file or block is refused whole — a reader never serves rows
+// from a block whose CRC does not match.
 var (
-	// ErrCorrupt means a magic, CRC, length or index in the file is
-	// inconsistent with the format.
-	ErrCorrupt = errors.New("store: corrupt file")
+	// ErrCorrupt means a magic, CRC, length or index in a file or
+	// block is inconsistent with the format, or a block is not the
+	// shard its reader expected.
+	ErrCorrupt = errors.New("store: corrupt data")
 	// ErrVersion means the file was written by an unsupported format
 	// version.
 	ErrVersion = errors.New("store: unsupported version")
@@ -80,11 +82,11 @@ var (
 	ErrSealed = errors.New("store: writer already sealed")
 )
 
-// trialWireHeader is the logical column list of one stored trial row,
-// in block column order. It deliberately mirrors core's CSV
-// trialHeader and wire's copy — positlint's csvheader rule
-// cross-checks all three registries against core.Trial, so adding a
-// Trial field without extending the columnar encoding fails tier-1.
+// trialWireHeader is the logical column list of one trial row, in
+// block column order. It deliberately mirrors core's CSV trialHeader
+// — positlint's csvheader rule cross-checks both registries against
+// core.Trial, so adding a Trial field without extending the block
+// encoding fails tier-1.
 var trialWireHeader = []string{
 	"field", "codec", "bit", "seq", "index",
 	"orig_value", "repr_value", "orig_bits", "faulty_bits", "faulty_value",
@@ -105,9 +107,10 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // cursor is a bounds-checked sticky-error reader over one decoded
-// region, following wire's decoder idiom: the first failure sticks
-// and turns every later read into a no-op, so column loops stay
-// branch-light and check once per column.
+// region: the first failure sticks and turns every later read into a
+// no-op, so column loops stay branch-light and check once per column.
+// Varints must be minimal, as encoding/binary writes them, so every
+// accepted region has exactly one encoding.
 type cursor struct {
 	buf []byte
 	off int
@@ -141,7 +144,7 @@ func (c *cursor) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(c.buf[c.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && c.buf[c.off+n-1] == 0) {
 		c.fail("bad uvarint")
 		return 0
 	}
@@ -155,7 +158,7 @@ func (c *cursor) varint() int {
 		return 0
 	}
 	v, n := binary.Varint(c.buf[c.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && c.buf[c.off+n-1] == 0) {
 		c.fail("bad varint")
 		return 0
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sync"
 
 	"positres/internal/atomicio"
@@ -43,11 +42,8 @@ type Writer struct {
 	err     error // first write failure; sticky, forces Abort
 
 	// Scratch reused across AppendShard calls so the steady-state
-	// append path stays at a few allocations per shard.
-	buf     []byte
-	nameIdx map[string]int
-	names   []string
-	rowIdx  []int
+	// append path stays allocation-free.
+	buf []byte
 }
 
 // NewWriter opens a pending store file at path for one (field, codec)
@@ -61,12 +57,11 @@ func NewWriter(path, field, codec string) (*Writer, error) {
 		return nil, err
 	}
 	w := &Writer{
-		pf:      pf,
-		path:    path,
-		field:   field,
-		codec:   codec,
-		bits:    map[int]*bitState{},
-		nameIdx: map[string]int{},
+		pf:    pf,
+		path:  path,
+		field: field,
+		codec: codec,
+		bits:  map[int]*bitState{},
 	}
 	hdr := append([]byte(fileMagic), Version)
 	hdr = appendString(hdr, field)
@@ -92,12 +87,12 @@ func (w *Writer) Rows() uint64 {
 	return w.rows
 }
 
-// AppendShard encodes one shard's trials as a columnar block and
+// AppendShard encodes one shard's trials as a block (AppendBlock) and
 // folds them into the per-bit aggregates. Every trial must carry the
-// writer's (field, codec) and a bit within [bitLo, bitHi) — the
-// half-open shard range convention internal/runner uses; violations are append errors, not
-// silent corruption. After any error the writer is spent: further
-// appends fail and Seal aborts.
+// writer's (field, codec) and a bit within [bitLo, bitHi); a shard
+// that violates this is refused before any byte reaches the file. A
+// failed write spends the writer: further appends fail and Seal
+// aborts.
 func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -112,7 +107,7 @@ func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 		w.err = fmt.Errorf("store: offset %s: %w", w.path, err)
 		return w.err
 	}
-	buf, err := w.appendBlock(w.buf[:0], bitLo, bitHi, trials)
+	buf, err := AppendBlock(w.buf[:0], w.field, w.codec, bitLo, bitHi, trials)
 	w.buf = buf[:0] // keep the grown capacity even on error
 	if err != nil {
 		return err // encoding rejected the input; the file is still clean
@@ -139,104 +134,6 @@ func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 	}
 	w.rows += uint64(len(trials))
 	return nil
-}
-
-// appendBlock validates trials against the shard invariants and
-// appends their columnar block encoding to dst: a length prefix, the
-// block payload (magic, column count, bit range, bit-field name
-// table, then each column contiguously) and the payload's CRC-32.
-func (w *Writer) appendBlock(dst []byte, bitLo, bitHi int, trials []core.Trial) ([]byte, error) {
-	if bitLo < 0 || bitHi <= bitLo {
-		return nil, fmt.Errorf("%w: bit range [%d, %d)", ErrCorrupt, bitLo, bitHi)
-	}
-	// First pass: shard invariants and the block's name vocabulary.
-	clear(w.nameIdx)
-	w.names = w.names[:0]
-	w.rowIdx = w.rowIdx[:0]
-	for i := range trials {
-		tr := &trials[i]
-		if tr.Field != w.field || tr.Codec != w.codec {
-			return nil, fmt.Errorf("%w: mixed (field, codec) in one store: (%s, %s) vs (%s, %s)",
-				ErrCorrupt, tr.Field, tr.Codec, w.field, w.codec)
-		}
-		if tr.Bit < bitLo || tr.Bit >= bitHi {
-			return nil, fmt.Errorf("%w: trial bit %d outside shard range [%d, %d)",
-				ErrCorrupt, tr.Bit, bitLo, bitHi)
-		}
-		j, ok := w.nameIdx[tr.FieldName]
-		if !ok {
-			j = len(w.names)
-			if j >= maxNames {
-				return nil, fmt.Errorf("%w: more than %d distinct bit-field names", ErrCorrupt, maxNames)
-			}
-			if len(tr.FieldName) > maxStringLen {
-				return nil, fmt.Errorf("%w: bit-field name over %d bytes", ErrCorrupt, maxStringLen)
-			}
-			w.nameIdx[tr.FieldName] = j
-			w.names = append(w.names, tr.FieldName)
-		}
-		w.rowIdx = append(w.rowIdx, j)
-	}
-
-	// Payload, then patch the length prefix and append the CRC —
-	// wire.AppendFrame's framing, column-major inside.
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
-	p := len(dst)                 // payload start
-	dst = append(dst, blockMagic...)
-	dst = append(dst, byte(len(trialWireHeader)))
-	dst = binary.AppendUvarint(dst, uint64(bitLo))
-	dst = binary.AppendUvarint(dst, uint64(bitHi))
-	dst = binary.AppendUvarint(dst, uint64(len(w.names)))
-	for _, nm := range w.names {
-		dst = appendString(dst, nm)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(trials)))
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, uint64(trials[i].Bit))
-	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, uint64(trials[i].Seq))
-	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, uint64(trials[i].Index))
-	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, trials[i].OrigBits)
-	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, trials[i].FaultyBits)
-	}
-	for i := range trials {
-		meta := byte(w.rowIdx[i]) << 1
-		if trials[i].Catastrophic {
-			meta |= 1
-		}
-		dst = append(dst, meta)
-	}
-	for i := range trials {
-		dst = binary.AppendVarint(dst, int64(trials[i].RegimeK))
-	}
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.OrigValue })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.ReprValue })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.FaultyVal })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.AbsErr })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.RelErr })
-	crc := crc32.ChecksumIEEE(dst[p:])
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	binary.LittleEndian.PutUint32(dst[base:], uint32(len(dst)-p))
-	return dst, nil
-}
-
-// appendFloatColumn appends one float64 column as raw little-endian
-// bit patterns — lossless, like the wire format's fixed row tail.
-func appendFloatColumn(dst []byte, trials []core.Trial, get func(*core.Trial) float64) []byte {
-	var fixed [8]byte
-	for i := range trials {
-		binary.LittleEndian.PutUint64(fixed[:], math.Float64bits(get(&trials[i])))
-		dst = append(dst, fixed[:]...)
-	}
-	return dst
 }
 
 // BitAggs snapshots the live per-bit aggregates, sorted by bit — the

@@ -44,18 +44,12 @@ type ClusterMetrics struct {
 	// number.
 	Reassignments Counter
 
-	// WireFrames counts shard responses that arrived as binary trial
-	// frames (the packed encoding of internal/wire, docs/WIRE.md).
+	// WireFrames counts shard responses merged — each one store block
+	// (docs/STORE.md).
 	WireFrames Counter
-	// WireBytes totals the body bytes of those binary responses —
-	// with WireFrames, the wire-efficiency numerator on /metrics.
+	// WireBytes totals the body bytes of those responses — with
+	// WireFrames, the wire-efficiency numerator on /metrics.
 	WireBytes Counter
-	// WireFallbacks counts shard responses that fell back to CSV: the
-	// worker did not (or could not) honor the binary Accept offer. A
-	// nonzero value in a fleet that should be all-binary is the
-	// version-skew tripwire docs/WIRE.md's compatibility policy leans
-	// on.
-	WireFallbacks Counter
 
 	mu      sync.RWMutex
 	workers map[string]*WorkerMetrics
@@ -127,20 +121,15 @@ func (c *ClusterMetrics) AddReassignment() {
 	c.Reassignments.Add(1)
 }
 
-// ObserveWire records how one successful shard response travelled:
-// a binary frame of the given body size, or a CSV fallback (nil-safe).
-// Failed dispatches are not observed — the wire counters describe
-// data that actually reached the merge path.
-func (c *ClusterMetrics) ObserveWire(binary bool, bodyBytes int64) {
+// ObserveWire records one successful shard response of the given
+// body size (nil-safe). Failed dispatches are not observed — the wire
+// counters describe data that actually reached the merge path.
+func (c *ClusterMetrics) ObserveWire(bodyBytes int64) {
 	if c == nil {
 		return
 	}
-	if binary {
-		c.WireFrames.Add(1)
-		c.WireBytes.Add(bodyBytes)
-	} else {
-		c.WireFallbacks.Add(1)
-	}
+	c.WireFrames.Add(1)
+	c.WireBytes.Add(bodyBytes)
 }
 
 // WorkerSnapshot is the JSON view of one worker's metrics.
@@ -161,11 +150,13 @@ type WorkerSnapshot struct {
 type ClusterSnapshot struct {
 	// Reassignments counts shards re-dispatched after worker failures.
 	Reassignments int64 `json:"reassignments"`
-	// WireFrames counts binary shard responses merged.
+	// WireFrames counts shard responses merged.
 	WireFrames int64 `json:"wire_frames"`
-	// WireBytes totals the body bytes of binary shard responses.
+	// WireBytes totals the body bytes of those shard responses.
 	WireBytes int64 `json:"wire_bytes"`
-	// WireFallbacks counts shard responses that fell back to CSV.
+	// WireFallbacks is always 0: shard responses have one encoding, so
+	// there is nothing to fall back to. The field stays so existing
+	// dashboards and scripts reading wire_csv_fallbacks keep parsing.
 	WireFallbacks int64 `json:"wire_csv_fallbacks"`
 	// Workers is keyed by worker base URL; it is empty but non-nil
 	// when nothing has been observed.
@@ -183,7 +174,6 @@ func (c *ClusterMetrics) Snapshot() ClusterSnapshot {
 	s.Reassignments = c.Reassignments.Load()
 	s.WireFrames = c.WireFrames.Load()
 	s.WireBytes = c.WireBytes.Load()
-	s.WireFallbacks = c.WireFallbacks.Load()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for url, w := range c.workers {

@@ -5,7 +5,7 @@
 # positlint (including a self-test that the linter still fires on its
 # fixtures), the positbench smoke (archived as artifacts/BENCH_PR10.json,
 # with an informational trajectory print against the committed
-# baseline), the wire and store fuzz smokes, the bounded-memory
+# baseline), the store fuzz smokes, the bounded-memory
 # columnar-store smoke (a 10⁷-trial campaign under GOMEMLIMIT whose
 # store-rendered CSV must hash identically to the direct encoder), the
 # positload chaos smoke, the short test suite, the race-detector pass,
@@ -84,8 +84,8 @@ grep -q '"schema": "positres-bench/v1"' artifacts/BENCH_PR10.json || {
 	echo "positbench baseline missing schema tag"
 	exit 1
 }
-grep -q '"name": "wire_encode_shard"' artifacts/BENCH_PR10.json || {
-	echo "positbench baseline missing the wire codec benches"
+grep -q '"name": "block_encode_shard"' artifacts/BENCH_PR10.json || {
+	echo "positbench baseline missing the block codec benches"
 	exit 1
 }
 grep -q '"name": "store_append_shard"' artifacts/BENCH_PR10.json || {
@@ -94,10 +94,8 @@ grep -q '"name": "store_append_shard"' artifacts/BENCH_PR10.json || {
 }
 echo "ok (archived as artifacts/BENCH_PR10.json)"
 
-banner "wire fuzz smoke: 5s over the binary frame decoder"
-$GO test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/wire/
-
-banner "store fuzz smoke: 5s each over the .pts footer index and opener"
+banner "store fuzz smoke: 5s each over the shard block decoder, the .pts footer index and opener"
+$GO test -run '^$' -fuzz FuzzDecodeBlock -fuzztime 5s ./internal/store/
 $GO test -run '^$' -fuzz FuzzFooterIndex -fuzztime 5s ./internal/store/
 $GO test -run '^$' -fuzz FuzzOpen -fuzztime 5s ./internal/store/
 

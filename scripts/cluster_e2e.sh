@@ -14,10 +14,10 @@
 #      workers and still complete;
 #   4. the distributed CSVs must be byte-identical to the serial ones;
 #   5. the coordinator's /metrics must carry per-worker cluster gauges,
-#      a nonzero reassignment count after the kill, and nonzero binary
-#      wire counters — every shard in a current-version fleet travels
-#      as a packed frame (docs/WIRE.md), so wire_frames > 0 and
-#      wire_bytes > 0 with zero CSV fallbacks.
+#      a nonzero reassignment count after the kill, and nonzero wire
+#      counters — every shard travels as one store block
+#      (docs/STORE.md), so wire_frames > 0 and wire_bytes > 0, and
+#      wire_csv_fallbacks stays 0.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -174,21 +174,21 @@ echo "$metrics" | grep -q '"reassignments": [1-9]' || {
 	exit 1
 }
 echo "$metrics" | grep -q '"wire_frames": [1-9]' || {
-	echo "no binary wire frames recorded; shards did not negotiate the packed encoding"
+	echo "no shard blocks recorded on the wire"
 	echo "$metrics"
 	exit 1
 }
 echo "$metrics" | grep -q '"wire_bytes": [1-9]' || {
-	echo "wire_bytes is zero despite binary frames"
+	echo "wire_bytes is zero despite shard blocks"
 	echo "$metrics"
 	exit 1
 }
 echo "$metrics" | grep -q '"wire_csv_fallbacks": 0' || {
-	echo "CSV fallbacks recorded in an all-current fleet (version skew?)"
+	echo "wire_csv_fallbacks is nonzero; it must always read 0"
 	echo "$metrics"
 	exit 1
 }
-echo "cluster metrics OK (3 workers, reassignments recorded, all shards binary)"
+echo "cluster metrics OK (3 workers, reassignments recorded, all shards as blocks)"
 
 echo "--- distributed outputs must be byte-identical to the serial baseline"
 for name in posit16.csv ieee32.csv; do

@@ -22,11 +22,11 @@
 #      check would show up here;
 #   6. the front proxy's stats dump must show it actually injected
 #      faults (a chaos e2e that ran without chaos proves nothing);
-#   7. the coordinator's /metrics must show nonzero binary wire
-#      traffic (wire_frames, wire_bytes) and zero CSV fallbacks —
-#      shards negotiated the packed encoding (docs/WIRE.md) even
-#      through the corrupting proxies, whose frame damage surfaces as
-#      retried shard failures, never as fallbacks or merged data.
+#   7. the coordinator's /metrics must show nonzero wire traffic
+#      (wire_frames, wire_bytes) and wire_csv_fallbacks at 0 — shards
+#      travel as store blocks (docs/STORE.md) even through the
+#      corrupting proxies, whose block damage surfaces as retried
+#      shard failures, never as merged data.
 #
 # The front proxy deliberately carries no truncate/corrupt faults:
 # only the /v1/shards path has the CRC trailer envelope, so body
@@ -199,20 +199,20 @@ echo "--- soak CSV must be byte-identical to the serial baseline"
 cmp "$TMP/baseline/$CSV_NAME" "$TMP/chaos-out/$CSV_NAME"
 echo "identical: $CSV_NAME"
 
-echo "--- coordinator /metrics must show binary wire traffic, no CSV fallbacks"
+echo "--- coordinator /metrics must show shard blocks on the wire, no fallbacks"
 coord_metrics=$($CURL "$COORD_BASE/metrics")
 echo "$coord_metrics" | grep -q '"wire_frames": [1-9]' || {
-	echo "no binary wire frames recorded during the soak"
+	echo "no shard blocks recorded on the wire during the soak"
 	echo "$coord_metrics"
 	exit 1
 }
 echo "$coord_metrics" | grep -q '"wire_bytes": [1-9]' || {
-	echo "wire_bytes is zero despite binary frames"
+	echo "wire_bytes is zero despite shard blocks"
 	echo "$coord_metrics"
 	exit 1
 }
 echo "$coord_metrics" | grep -q '"wire_csv_fallbacks": 0' || {
-	echo "CSV fallbacks recorded in an all-current fleet (version skew?)"
+	echo "wire_csv_fallbacks is nonzero; it must always read 0"
 	echo "$coord_metrics"
 	exit 1
 }
