@@ -113,8 +113,12 @@ type Result struct {
 	Codec  string  // format name under test
 	N      int     // dataset length
 	Trials []Trial // every injection, in (bit, seq) order
-	// Elapsed is the wall-clock cost of this campaign alone (not an
-	// even share of some enclosing sweep), recorded by Run.
+	// Elapsed is the compute time of this campaign alone. Run records
+	// the wall-clock time of its call. A result that runner.Run
+	// assembles from shards holds the sum of the shards' durations
+	// instead: shards overlap, so this is about Workers × the spec's
+	// wall time, and after a resume it includes the durations that
+	// earlier runs journaled.
 	Elapsed time.Duration
 }
 
@@ -292,20 +296,6 @@ func runBit(cfg Config, codec numfmt.Codec, fieldKey string, data []float64, bit
 		tr.RelErr = p.RelErr
 		tr.Catastrophic = p.Catastrophic
 	}
-}
-
-// RunAll executes the campaign for several codecs over the same data,
-// returning results keyed in input order.
-func RunAll(ctx context.Context, cfg Config, codecs []numfmt.Codec, fieldKey string, data []float64) ([]*Result, error) {
-	out := make([]*Result, 0, len(codecs))
-	for _, c := range codecs {
-		r, err := Run(ctx, cfg, c, fieldKey, data)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // FaultyArrayStats returns the summary statistics of the dataset with

@@ -177,18 +177,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunAll(t *testing.T) {
-	data := testData(t, "CESM/CLOUD", 5000)
-	codecs := []numfmt.Codec{mustCodec(t, "posit32"), mustCodec(t, "ieee32")}
-	rs, err := RunAll(context.Background(), smallCfg(), codecs, "CESM/CLOUD", data)
-	if err != nil || len(rs) != 2 {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if rs[0].Codec != "posit32" || rs[1].Codec != "ieee32" {
-		t.Error("result order")
-	}
-}
-
 // TestAggregateByBit: counts and means match hand computation.
 func TestAggregateByBit(t *testing.T) {
 	trials := []Trial{
@@ -509,53 +497,6 @@ func metricsEqual(a, b qcat.Metrics) bool {
 		eq(a.MSE, b.MSE) && eq(a.RMSE, b.RMSE) && eq(a.L2Norm, b.L2Norm) &&
 		eq(a.MRED, b.MRED) && eq(a.NRMSE, b.NRMSE) && eq(a.PSNR, b.PSNR) &&
 		eq(a.MaxValRangeRelErr, b.MaxValRangeRelErr)
-}
-
-// TestRunMatrix: a multi-job sweep returns ordered, deterministic
-// results and matches individually run campaigns.
-func TestRunMatrix(t *testing.T) {
-	f1, _ := sdrbench.Lookup("CESM/CLOUD")
-	f2, _ := sdrbench.Lookup("HACC/vx")
-	cfg := smallCfg()
-	jobs := []MatrixJob{
-		{Field: f1, Codec: mustCodec(t, "posit32"), N: 4000, Seed: 7},
-		{Field: f1, Codec: mustCodec(t, "ieee32"), N: 4000, Seed: 7},
-		{Field: f2, Codec: mustCodec(t, "posit32"), N: 4000, Seed: 7},
-	}
-	rs, err := RunMatrix(context.Background(), cfg, jobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 || rs[0].Codec != "posit32" || rs[1].Codec != "ieee32" || rs[2].Field != "HACC/vx" {
-		t.Fatalf("results: %v %v %v", rs[0].Codec, rs[1].Codec, rs[2].Field)
-	}
-	// Equal to a standalone run of the same job.
-	data := sdrbench.ToFloat64(f1.Generate(4000, 7))
-	solo, err := Run(context.Background(), cfg, mustCodec(t, "posit32"), f1.Key(), data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(solo.Trials, rs[0].Trials) {
-		t.Fatal("matrix result differs from standalone run")
-	}
-	// Errors propagate.
-	bad := []MatrixJob{{Field: f1, Codec: mustCodec(t, "posit32"), N: 0, Seed: 1}}
-	if _, err := RunMatrix(context.Background(), cfg, bad, 1); err == nil {
-		t.Error("zero-N job should error")
-	}
-}
-
-func TestFullSweepJobs(t *testing.T) {
-	jobs, err := FullSweepJobs([]string{"posit32", "ieee32"}, 1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 32 { // 16 fields × 2 formats
-		t.Fatalf("jobs: %d", len(jobs))
-	}
-	if _, err := FullSweepJobs([]string{"bogus"}, 1000, 1); err == nil {
-		t.Error("unknown codec should error")
-	}
 }
 
 // TestRunRangeIntoReusesBuffer: a caller-supplied buffer with enough

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"positres/internal/analysis"
 	"positres/internal/core"
@@ -54,29 +53,18 @@ func mustCodec(name string) numfmt.Codec {
 	return c
 }
 
-// dataCache memoizes synthetic fields across figure builders: one
-// report regenerates the same (field, n, seed) several times, and
-// generation dominates the wall clock at paper scale.
-var dataCache sync.Map // dataKey -> []float64
-
-type dataKey struct {
-	key  string
-	n    int
-	seed uint64
-}
+// datasets memoizes synthetic fields across figure builders: one
+// report reads the same (field, n, seed) several times, and generation
+// dominates the wall clock at paper scale. It holds one budget's worth
+// of the Table 1 fields.
+var datasets = sdrbench.NewCache(len(sdrbench.Fields()), nil)
 
 func fieldData(b Budget, key string) []float64 {
-	ck := dataKey{key, b.DatasetN, b.Seed}
-	if v, ok := dataCache.Load(ck); ok {
-		return v.([]float64)
-	}
 	f, err := sdrbench.Lookup(key)
 	if err != nil {
 		panic(err)
 	}
-	data := sdrbench.ToFloat64(f.Generate(b.DatasetN, b.Seed))
-	dataCache.Store(ck, data)
-	return data
+	return datasets.Get(f, b.DatasetN, b.Seed)
 }
 
 // runField executes the campaign for one codec on one field.

@@ -90,11 +90,12 @@ type Config struct {
 	// Report's Results carry Trials == nil (identity, N and Elapsed
 	// stay populated). This is how campaign-scale runs stay in
 	// bounded memory: trials stream into an append-only store instead
-	// of accumulating per-spec slabs. Appends happen serially, after
-	// the shard is journaled (the journal stays the durability source,
-	// so a sink failure costs the shard, not the campaign — the shard
-	// is reported failed and a Resume run can replay it). A
-	// store.CampaignWriter satisfies this interface.
+	// of accumulating per-spec slabs. Each shard is appended once, by
+	// the worker that computed it, after the shard is journaled, so
+	// appends of different shards run concurrently (the journal stays
+	// the durability source, so a sink failure costs the shard, not
+	// the campaign — the shard is reported failed and a Resume run can
+	// replay it). A store.CampaignWriter satisfies this interface.
 	Sink ShardSink
 	// Metrics, when non-nil, receives shard lifecycle counts, the
 	// shard latency histogram, retry/backoff tallies and worker busy
@@ -149,11 +150,14 @@ func (cfg *Config) sleep(ctx context.Context, d time.Duration) error {
 }
 
 // ShardSink consumes completed shards' trials as a campaign runs.
-// AppendShard is called serially, once per completed shard, with the
-// shard's half-open bit range; every trial carries the (field, codec)
-// identity and a bit within [bitLo, bitHi). An error fails that shard
-// (not the campaign) — the journal remains authoritative, so the
-// shard is replayable by a Resume run.
+// AppendShard is called once per completed shard, with the shard's
+// half-open bit range; every trial carries the (field, codec)
+// identity and a bit within [bitLo, bitHi). Calls for different
+// shards — of one spec or of several — happen concurrently, from the
+// runner's shard workers, so implementations must be safe for
+// concurrent use. An error fails that shard (not the campaign) — the
+// journal remains authoritative, so the shard is replayable by a
+// Resume run.
 type ShardSink interface {
 	AppendShard(field, codec string, bitLo, bitHi int, trials []core.Trial) error
 }
@@ -184,9 +188,11 @@ type Report struct {
 	// Results is index-aligned with Specs. A spec whose shards all
 	// completed (freshly or from the journal) gets an assembled
 	// *core.Result with trials in bit order; a spec with failed or
-	// skipped shards gets nil. When Config.Sink is set the trials
-	// streamed out as the campaign ran, so Result.Trials is nil and
-	// the sink (typically a store) holds the rows.
+	// skipped shards gets nil. Result.Elapsed is the sum of the spec's
+	// shard durations, journaled ones included — not its wall time.
+	// When Config.Sink is set the trials streamed out as the campaign
+	// ran, so Result.Trials is nil and the sink (typically a store)
+	// holds the rows.
 	Results []*core.Result
 	// Shards lists every shard outcome in deterministic (spec, bit)
 	// order.
@@ -304,82 +310,85 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	// Shard worker pool. Slots are written by index (disjoint); the
-	// mutex serializes journaling bookkeeping and the OnShardDone
-	// callback only.
-	cache := newDataCache(fields, specs)
+	// mutex serializes the OnShardDone callback only. A local shard
+	// injects into its field's dataset, shared by every format: the
+	// feeder resolves each shard's cache entry in feed order, which is
+	// field-major, so an entry is never evicted while shards of its
+	// field are still to come and each field generates once per run.
+	// Generation itself happens in the worker, on first use.
+	type job struct {
+		i    int
+		data *sdrbench.Dataset // nil when Execute brings its own data
+	}
+	datasets := sdrbench.NewCache(c.Workers, c.Metrics.ObserveDatasetGenerate)
 	var mu sync.Mutex
-	idx := make(chan int)
+	jobs := make(chan job)
 	var wg sync.WaitGroup
 	for w := 0; w < c.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for jb := range jobs {
 				if ctx.Err() != nil {
 					continue // cancelled: drain remaining shards without working
 				}
 				busyStart := time.Now()
-				sh := shards[i]
+				sh := shards[jb.i]
 				var data []float64
-				var err error
-				if c.Execute == nil {
-					// Only a local shard injects into the dataset; an
-					// executor brings its own.
-					data, err = cache.get(sh.Spec)
+				if jb.data != nil {
+					data = jb.data.Data()
 				}
-				if err != nil {
-					slots[i].status.State = ShardFailed
-					slots[i].status.Error = err.Error()
-				} else {
-					trials, status := runShard(ctx, &c, codecs[specIndex(specs, sh.Spec)], sh, data)
-					if status.State == ShardDone && st.enabled() {
-						if jerr := st.journal(status, params, trials); jerr != nil {
-							// A shard whose durability write failed is a
-							// failed shard: reporting it done would let a
-							// resume silently lose it.
-							status.State = ShardFailed
-							status.Error = jerr.Error()
-							trials = nil
-						}
+				trials, status := runShard(ctx, &c, codecs[specIndex(specs, sh.Spec)], sh, data)
+				if status.State == ShardDone && st.enabled() {
+					if jerr := st.journal(status, params, trials); jerr != nil {
+						// A shard whose durability write failed is a
+						// failed shard: reporting it done would let a
+						// resume silently lose it.
+						status.State = ShardFailed
+						status.Error = jerr.Error()
+						trials = nil
 					}
-					slots[i].status = status
-					slots[i].trials = trials
 				}
 				c.Metrics.AddWorkerBusy(time.Since(busyStart))
-				mu.Lock()
-				if c.Sink != nil && slots[i].status.State == ShardDone {
+				if c.Sink != nil && status.State == ShardDone {
 					// Journal first (above), sink second: durability is
 					// already settled, so a sink failure only fails this
 					// shard and a Resume run replays it into a new store.
-					if serr := c.Sink.AppendShard(sh.Field, sh.Codec, sh.BitLo, sh.BitHi, slots[i].trials); serr != nil {
-						slots[i].status.State = ShardFailed
-						slots[i].status.Error = fmt.Sprintf("sink: %v", serr)
+					if serr := c.Sink.AppendShard(sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials); serr != nil {
+						status.State = ShardFailed
+						status.Error = fmt.Sprintf("sink: %v", serr)
 					} else {
-						slots[i].sunk = true
+						slots[jb.i].sunk = true
 					}
-					slots[i].trials = nil // the slab is the sink's problem now
+					trials = nil // the slab is the sink's problem now
 				}
-				c.Metrics.ObserveShard(slots[i].status.State,
-					slots[i].status.Duration(), slots[i].status.Attempts)
+				slots[jb.i].status = status
+				slots[jb.i].trials = trials
+				c.Metrics.ObserveShard(status.State, status.Duration(), status.Attempts)
 				if c.OnShardDone != nil {
-					c.OnShardDone(slots[i].status)
+					mu.Lock()
+					c.OnShardDone(status)
+					mu.Unlock()
 				}
-				mu.Unlock()
 			}
 		}()
 	}
 feed:
-	for i := range shards {
+	for i, sh := range shards {
 		if slots[i].status.State == ShardResumed {
 			continue // already satisfied by the journal
 		}
+		jb := job{i: i}
+		if c.Execute == nil {
+			jb.data = datasets.Dataset(fields[specIndex(specs, sh.Spec)], sh.N, sh.Seed)
+		}
 		select {
-		case idx <- i:
+		case jobs <- jb:
 		case <-ctx.Done():
 			break feed
 		}
 	}
-	close(idx)
+	close(jobs)
 	wg.Wait()
 
 	rep := &Report{
@@ -593,35 +602,4 @@ func attemptShard(ctx context.Context, cfg *Config, codec numfmt.Codec, sh Shard
 	case <-actx.Done():
 		return nil, true, fmt.Errorf("runner: shard %s attempt %d: watchdog: %w", sh.ID(), attempt, actx.Err())
 	}
-}
-
-// dataCache generates each spec's dataset once and shares the
-// read-only slice across its shards.
-type dataCache struct {
-	mu     sync.Mutex
-	fields map[string]sdrbench.Field
-	m      map[Spec][]float64
-}
-
-func newDataCache(fields []sdrbench.Field, specs []Spec) *dataCache {
-	c := &dataCache{fields: map[string]sdrbench.Field{}, m: map[Spec][]float64{}}
-	for i, sp := range specs {
-		c.fields[sp.Field] = fields[i]
-	}
-	return c
-}
-
-func (c *dataCache) get(sp Spec) ([]float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.m[sp]; ok {
-		return d, nil
-	}
-	f, ok := c.fields[sp.Field]
-	if !ok {
-		return nil, fmt.Errorf("runner: no field %s in cache", sp.Field)
-	}
-	d := sdrbench.ToFloat64(f.Generate(sp.N, sp.Seed))
-	c.m[sp] = d
-	return d, nil
 }

@@ -572,6 +572,43 @@ func TestRunnerTelemetry(t *testing.T) {
 	}
 }
 
+// TestRunnerGeneratesEachFieldOnce: every format of a field injects
+// into the same dataset, so a 16-field campaign generates 16 datasets
+// however many formats it crosses them with and however many workers
+// run its shards.
+func TestRunnerGeneratesEachFieldOnce(t *testing.T) {
+	var fields []string
+	for _, f := range sdrbench.Fields() {
+		fields = append(fields, f.Key())
+	}
+	for _, formats := range [][]string{
+		{"posit32", "ieee32"},
+		{"posit8", "posit16", "posit32", "posit64", "ieee32", "ieee64"},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := testCfg("")
+			cfg.Workers = workers
+			cfg.Metrics = telemetry.New()
+			cfg.Spec = &spec.CampaignSpec{
+				Fields: fields, Formats: formats,
+				N: 300, TrialsPerBit: 1, Seed: 5, BitsPerShard: 8,
+			}
+			rep, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Complete() {
+				t.Fatalf("%d formats, %d workers: incomplete %+v", len(formats), workers, rep)
+			}
+			s := cfg.Metrics.Snapshot()
+			if s.DatasetsGenerated != 16 || s.DatasetGenerateNS <= 0 {
+				t.Errorf("%d formats, %d workers: datasets_generated = %d (%d ns), want 16",
+					len(formats), workers, s.DatasetsGenerated, s.DatasetGenerateNS)
+			}
+		}
+	}
+}
+
 func TestShardIDStable(t *testing.T) {
 	sh := Shard{Spec: Spec{Field: "CESM/CLOUD", Codec: "posit16"}, BitLo: 4, BitHi: 8}
 	if got, want := sh.ID(), "CESM_CLOUD.posit16.b04-08"; got != want {

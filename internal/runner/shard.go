@@ -7,9 +7,9 @@ import (
 	"positres/internal/core"
 )
 
-// Spec is one (field, codec) campaign of a sweep — the durable
-// equivalent of core.MatrixJob, expressed with registry names instead
-// of live values so it serializes into the manifest and journal.
+// Spec is one (field, codec) campaign of a sweep, expressed with
+// registry names instead of live values so it serializes into the
+// manifest and journal.
 type Spec struct {
 	Field string `json:"field"` // sdrbench key, e.g. "CESM/CLOUD"
 	Codec string `json:"codec"` // numfmt name, e.g. "posit32"

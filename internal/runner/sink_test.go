@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"positres/internal/core"
@@ -16,7 +17,10 @@ import (
 // a campaign streamed through a store.CampaignWriter must publish
 // CSVs byte-identical to the in-memory slab path, per-bit aggregates
 // matching core.AggregateByBit, and Results that keep identity and N
-// while carrying no trial slab.
+// while carrying no trial slab. Workers append their own shards
+// concurrently, so the store must come out the same at every worker
+// count; under -race (`make race`) this is also the sink's data-race
+// check.
 func TestSinkStreamsCampaign(t *testing.T) {
 	ref, err := Run(context.Background(), testCfg(""))
 	if err != nil {
@@ -25,11 +29,21 @@ func TestSinkStreamsCampaign(t *testing.T) {
 	if !ref.Complete() {
 		t.Fatalf("reference run incomplete: %+v", ref)
 	}
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testSinkStreams(t, ref, workers)
+		})
+	}
+}
 
+// testSinkStreams runs the sink campaign at one worker count and
+// checks every store against the reference slab run.
+func testSinkStreams(t *testing.T, ref *Report, workers int) {
 	dir := t.TempDir()
 	cw := store.NewCampaignWriter(dir)
 	defer cw.Abort()
 	cfg := testCfg("")
+	cfg.Workers = workers
 	cfg.Sink = cw
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -123,16 +137,17 @@ func TestSinkFedOnResume(t *testing.T) {
 }
 
 // failingSink rejects every shard of one codec, accepting the rest.
+// The runner calls it from concurrent shard workers.
 type failingSink struct {
 	rejectCodec string
-	accepted    int
+	accepted    atomic.Int64
 }
 
 func (s *failingSink) AppendShard(field, codec string, bitLo, bitHi int, trials []core.Trial) error {
 	if codec == s.rejectCodec {
 		return fmt.Errorf("synthetic sink refusal for %s", codec)
 	}
-	s.accepted++
+	s.accepted.Add(1)
 	return nil
 }
 
@@ -154,8 +169,8 @@ func TestSinkFailureFailsShardNotCampaign(t *testing.T) {
 	if rep.Failed != wantFailed || rep.Completed != testShardTotal-wantFailed {
 		t.Fatalf("failed %d completed %d, want %d/%d", rep.Failed, rep.Completed, wantFailed, testShardTotal-wantFailed)
 	}
-	if sink.accepted != testShardTotal-wantFailed {
-		t.Fatalf("sink accepted %d shards, want %d", sink.accepted, testShardTotal-wantFailed)
+	if n := sink.accepted.Load(); n != int64(testShardTotal-wantFailed) {
+		t.Fatalf("sink accepted %d shards, want %d", n, testShardTotal-wantFailed)
 	}
 	for i, sp := range rep.Specs {
 		res := rep.Results[i]

@@ -9,9 +9,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
+	"positres/internal/telemetry"
 )
 
 // clusterSpec is a multi-pair campaign small enough for tests but
@@ -233,6 +236,55 @@ func TestRunShardEndpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("remote trials differ from local: got %d, want %d", len(got), len(want))
+	}
+}
+
+// TestRunShardSharesDataset: the eight shards of one cluster
+// operation — two formats × four bit ranges of one (field, n, seed) —
+// arriving at a worker at once generate the field once, and /metrics
+// reports it.
+func TestRunShardSharesDataset(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	client := NewClient(ts.URL, nil)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for _, format := range []string{"posit32", "ieee32"} {
+		cs := spec.CampaignSpec{
+			Fields:       []string{"Nyx/temperature"},
+			Formats:      []string{format},
+			N:            5000,
+			TrialsPerBit: 2,
+			Seed:         11,
+		}
+		if verr := cs.Validate(); verr != nil {
+			t.Fatal(verr)
+		}
+		for lo := 0; lo < 32; lo += 8 {
+			wg.Add(1)
+			go func(req ShardRequest) {
+				defer wg.Done()
+				trials, err := client.RunShard(context.Background(), req)
+				if err == nil && len(trials) != 8*2 {
+					err = fmt.Errorf("%s [%d, %d): %d trials", format, req.BitLo, req.BitHi, len(trials))
+				}
+				errs <- err
+			}(ShardRequest{Spec: cs, BitLo: lo, BitHi: lo + 8})
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m struct {
+		Campaign telemetry.Snapshot `json:"campaign"`
+	}
+	getJSON(t, ts.URL+"/metrics", &m)
+	if m.Campaign.DatasetsGenerated != 1 || m.Campaign.DatasetGenerateNS <= 0 {
+		t.Fatalf("datasets_generated = %d (%d ns), want 1 generation for 8 shards of one dataset",
+			m.Campaign.DatasetsGenerated, m.Campaign.DatasetGenerateNS)
 	}
 }
 

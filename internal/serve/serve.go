@@ -26,9 +26,11 @@ import (
 	"errors"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
+	"positres/internal/sdrbench"
 	"positres/internal/telemetry"
 )
 
@@ -116,6 +118,7 @@ type Server struct {
 	httpMetrics    *telemetry.HTTPMetrics
 	clusterMetrics *telemetry.ClusterMetrics
 	cache          *injectCache
+	datasets       *sdrbench.Cache // POST /v1/shards inputs, the GOMAXPROCS most recently used
 	jobs           *jobStore
 	cluster        *dispatcher
 	handler        http.Handler
@@ -140,6 +143,7 @@ func New(cfg Config) (*Server, error) {
 		httpMetrics:    telemetry.NewHTTP(),
 		clusterMetrics: telemetry.NewCluster(),
 		cache:          newInjectCache(cfg.InjectCacheSize),
+		datasets:       sdrbench.NewCache(runtime.GOMAXPROCS(0), cfg.Metrics.ObserveDatasetGenerate),
 		jobs:           jobs,
 	}
 	s.cluster = newDispatcher(cfg.Workers, cfg.HeartbeatInterval, cfg.ClusterRetryBase, s.clusterMetrics)

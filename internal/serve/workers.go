@@ -70,11 +70,15 @@ type workerList struct {
 }
 
 // handleRunShard serves POST /v1/shards: validate the single-pair
-// spec, regenerate the field deterministically, compute the bit range
-// through the same core engine a local run uses, and answer with the
-// trials as one block. The block is byte-exact trial data, so the
-// coordinator's journal — and therefore the final CSVs — cannot
-// distinguish local from remote computation.
+// spec, take the field's dataset from the server's dataset cache
+// (generated deterministically on first use, then shared by every
+// shard of the same (field, n, seed) — the other formats and bit
+// ranges of a campaign — while it stays among the GOMAXPROCS most
+// recently used), compute the bit range through the same core engine
+// a local run uses, and answer with the trials as one block. The
+// block is byte-exact trial data, so the coordinator's journal — and
+// therefore the final CSVs — cannot distinguish local from remote
+// computation.
 func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -120,7 +124,7 @@ func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 		ctx = dctx
 	}
 
-	data := sdrbench.ToFloat64(field.Generate(req.Spec.N, req.Spec.Seed))
+	data := s.datasets.Get(field, req.Spec.N, req.Spec.Seed)
 	trials, err := core.RunRange(ctx, core.ConfigFromSpec(&req.Spec),
 		codec, req.Spec.Fields[0], data, req.BitLo, req.BitHi)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"positres/internal/core"
@@ -465,6 +466,159 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		_ = r.Close()
 		if verr == nil {
 			t.Errorf("corruption at offset %d went undetected", off)
+		}
+	}
+}
+
+// shardOf returns the trials of bits [lo, hi).
+func shardOf(trials []core.Trial, lo, hi int) []core.Trial {
+	var out []core.Trial
+	for i := range trials {
+		if trials[i].Bit >= lo && trials[i].Bit < hi {
+			out = append(out, trials[i])
+		}
+	}
+	return out
+}
+
+// TestWriterRefusesOverlappingShard pins one shard per bit: a shard
+// covering an already-appended bit — a duplicate or a partial overlap
+// — is refused with ErrCorrupt before any byte reaches the file, so
+// RenderCSV and the per-bit aggregates never count a row twice.
+func TestWriterRefusesOverlappingShard(t *testing.T) {
+	trials := genTrials(t, "CESM/CLOUD", "posit16", 200, 3, 0, 16)
+	path := filepath.Join(t.TempDir(), FileName("CESM/CLOUD", "posit16"))
+	w, err := NewWriter(path, "CESM/CLOUD", "posit16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	if err := w.AppendShard(4, 8, shardOf(trials, 4, 8)); err != nil {
+		t.Fatal(err)
+	}
+	size, err := w.pf.Offset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{4, 8}, {0, 5}, {7, 12}, {5, 6}, {0, 16}} {
+		if err := w.AppendShard(r[0], r[1], shardOf(trials, r[0], r[1])); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("shard [%d, %d) over appended [4, 8): err = %v, want ErrCorrupt", r[0], r[1], err)
+		}
+		if now, err := w.pf.Offset(); err != nil || now != size {
+			t.Fatalf("refused shard [%d, %d) moved the file from %d to %d bytes (%v)", r[0], r[1], size, now, err)
+		}
+	}
+	// The writer stays usable for the bits no shard has covered yet.
+	for _, r := range [][2]int{{0, 4}, {8, 16}} {
+		if err := w.AppendShard(r[0], r[1], shardOf(trials, r[0], r[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Rows() != uint64(len(trials)) {
+		t.Fatalf("rows %d, want %d", w.Rows(), len(trials))
+	}
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var got, want bytes.Buffer
+	if err := r.RenderCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteTrialsCSV(&want, trials); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("rendered CSV differs from the trials (%d vs %d bytes)", got.Len(), want.Len())
+	}
+	for _, a := range r.BitAggs() {
+		if a.Trials != 3 {
+			t.Fatalf("bit %d aggregates %d trials, want 3", a.Bit, a.Trials)
+		}
+	}
+}
+
+// TestConcurrentAppendsMatchSerial: shards appended by 8 goroutines at
+// once — encoding and folding in parallel, in whatever order the
+// scheduler picks — give the same rendered CSV and the same per-bit
+// aggregates, bit for bit, as appending them one by one. Not skipped
+// under -short, so `make race` checks the append path for races.
+func TestConcurrentAppendsMatchSerial(t *testing.T) {
+	trials := genTrials(t, "Hurricane/Wf30", "posit32", 500, 7, 0, 32)
+	dir := t.TempDir()
+	serial := filepath.Join(dir, "serial.pts")
+	writeStore(t, serial, "Hurricane/Wf30", "posit32", trials, 0, 32, 4)
+
+	parallel := filepath.Join(dir, "parallel.pts")
+	w, err := NewWriter(parallel, "Hurricane/Wf30", "posit32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for lo := 0; lo < 32; lo += 4 {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			errs <- w.AppendShard(lo, lo+4, shardOf(trials, lo, lo+4))
+		}(lo)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := w.BitAggs()
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+
+	render := func(path string) ([]byte, []core.BitAgg) {
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		var b bytes.Buffer
+		if err := r.RenderCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes(), r.BitAggs()
+	}
+	wantCSV, wantAggs := render(serial)
+	gotCSV, gotAggs := render(parallel)
+	if !bytes.Equal(gotCSV, wantCSV) {
+		t.Fatalf("concurrent store renders %d bytes, serial %d; contents differ", len(gotCSV), len(wantCSV))
+	}
+	for _, got := range [][]core.BitAgg{live, gotAggs} {
+		if len(got) != len(wantAggs) {
+			t.Fatalf("%d bit aggregates, want %d", len(got), len(wantAggs))
+		}
+		for i, want := range wantAggs {
+			g := got[i]
+			if g.Bit != want.Bit || g.Trials != want.Trials || g.Catastrophic != want.Catastrophic {
+				t.Fatalf("bit %d: counts %+v, want %+v", want.Bit, g, want)
+			}
+			mustSameFloat(t, want.Bit, "MeanRelErr", g.MeanRelErr, want.MeanRelErr)
+			mustSameFloat(t, want.Bit, "MedianRelErr", g.MedianRelErr, want.MedianRelErr)
+			mustSameFloat(t, want.Bit, "GeoRelErr", g.GeoRelErr, want.GeoRelErr)
+			mustSameFloat(t, want.Bit, "MaxRelErr", g.MaxRelErr, want.MaxRelErr)
+			mustSameFloat(t, want.Bit, "MeanAbsErr", g.MeanAbsErr, want.MeanAbsErr)
+			mustSameFloat(t, want.Bit, "MedianAbsErr", g.MedianAbsErr, want.MedianAbsErr)
+			mustSameFloat(t, want.Bit, "MaxAbsErr", g.MaxAbsErr, want.MaxAbsErr)
+			if len(g.FieldShare) != len(want.FieldShare) {
+				t.Fatalf("bit %d: %d field shares, want %d", want.Bit, len(g.FieldShare), len(want.FieldShare))
+			}
+			for name, share := range want.FieldShare {
+				mustSameFloat(t, want.Bit, "FieldShare["+name+"]", g.FieldShare[name], share)
+			}
 		}
 	}
 }

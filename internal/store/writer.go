@@ -26,8 +26,9 @@ type blockInfo struct {
 // carrying the online aggregates. All bytes stream through an
 // atomicio.PendingFile, so the final path appears only on a
 // successful Seal; Abort (or a crash) leaves at most a temp file.
-// Writer is safe for concurrent use; the aggregates fold under the
-// same lock that orders the blocks.
+// Writer is safe for concurrent use: appends encode and fold their
+// own shard in parallel, and the lock orders only the file writes,
+// the block index and the per-bit states.
 type Writer struct {
 	mu      sync.Mutex
 	pf      *atomicio.PendingFile
@@ -40,11 +41,12 @@ type Writer struct {
 	rows    uint64
 	done    bool  // sealed or aborted
 	err     error // first write failure; sticky, forces Abort
-
-	// Scratch reused across AppendShard calls so the steady-state
-	// append path stays allocation-free.
-	buf []byte
 }
+
+// blockBufs recycles block encoding buffers across appends (of every
+// writer), so concurrent appends each encode into their own scratch
+// without a steady-state allocation per shard.
+var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // NewWriter opens a pending store file at path for one (field, codec)
 // pair and writes its header. Callers must finish with Seal or Abort.
@@ -88,12 +90,34 @@ func (w *Writer) Rows() uint64 {
 }
 
 // AppendShard encodes one shard's trials as a block (AppendBlock) and
-// folds them into the per-bit aggregates. Every trial must carry the
-// writer's (field, codec) and a bit within [bitLo, bitHi); a shard
-// that violates this is refused before any byte reaches the file. A
-// failed write spends the writer: further appends fail and Seal
-// aborts.
+// folds them into fresh per-bit aggregates, both before taking the
+// writer's lock, so appends of different shards run in parallel; the
+// lock covers only the file write, the block index and installing the
+// states. Every trial must carry the writer's (field, codec) and a bit
+// within [bitLo, bitHi), and the range must not overlap a shard
+// already appended: each bit's rows come from exactly one shard. A
+// shard that violates this is refused with ErrCorrupt before any byte
+// reaches the file. A failed write spends the writer: further appends
+// fail and Seal aborts.
 func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
+	bp := blockBufs.Get().(*[]byte)
+	defer blockBufs.Put(bp)
+	block, err := AppendBlock((*bp)[:0], w.field, w.codec, bitLo, bitHi, trials)
+	*bp = block[:0] // keep the grown capacity even on error
+	if err != nil {
+		return err // encoding rejected the input; the file is still clean
+	}
+	states := map[int]*bitState{}
+	for i := range trials {
+		tr := &trials[i]
+		st := states[tr.Bit]
+		if st == nil {
+			st = newBitState()
+			states[tr.Bit] = st
+		}
+		st.fold(tr)
+	}
+
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.done {
@@ -102,35 +126,30 @@ func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 	if w.err != nil {
 		return w.err
 	}
+	for _, b := range w.blocks {
+		if bitLo < b.BitHi && b.BitLo < bitHi {
+			return fmt.Errorf("%w: %s: shard bits [%d, %d) overlap appended bits [%d, %d)",
+				ErrCorrupt, w.path, bitLo, bitHi, b.BitLo, b.BitHi)
+		}
+	}
 	offset, err := w.pf.Offset()
 	if err != nil {
 		w.err = fmt.Errorf("store: offset %s: %w", w.path, err)
 		return w.err
 	}
-	buf, err := AppendBlock(w.buf[:0], w.field, w.codec, bitLo, bitHi, trials)
-	w.buf = buf[:0] // keep the grown capacity even on error
-	if err != nil {
-		return err // encoding rejected the input; the file is still clean
-	}
-	if _, err := w.pf.Write(buf); err != nil {
+	if _, err := w.pf.Write(block); err != nil {
 		w.err = fmt.Errorf("store: block %s: %w", w.path, err)
 		return w.err
 	}
 	w.blocks = append(w.blocks, blockInfo{
 		Offset: offset,
-		Length: len(buf),
+		Length: len(block),
 		Rows:   len(trials),
 		BitLo:  bitLo,
 		BitHi:  bitHi,
 	})
-	for i := range trials {
-		tr := &trials[i]
-		st := w.bits[tr.Bit]
-		if st == nil {
-			st = newBitState()
-			w.bits[tr.Bit] = st
-		}
-		st.fold(tr)
+	for bit, st := range states {
+		w.bits[bit] = st
 	}
 	w.rows += uint64(len(trials))
 	return nil
@@ -167,8 +186,7 @@ func (w *Writer) Seal() error {
 		return w.err
 	}
 	w.done = true
-	buf := appendFooter(w.buf[:0], w.headCRC, w.blocks, w.rows, w.bits)
-	w.buf = buf[:0]
+	buf := appendFooter(nil, w.headCRC, w.blocks, w.rows, w.bits)
 	// Trailer: the footer frame's byte span plus the end magic, so a
 	// reader finds the footer by seeking 8 bytes from EOF.
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(buf)))

@@ -59,6 +59,12 @@ type Snapshot struct {
 
 	// ShardLatency is the per-shard wall-clock histogram.
 	ShardLatency HistogramSnapshot `json:"shard_latency"`
+
+	// DatasetsGenerated counts datasets synthesized for injection.
+	DatasetsGenerated int64 `json:"datasets_generated"`
+	// DatasetGenerateNS is the total time spent generating them,
+	// nanoseconds.
+	DatasetGenerateNS int64 `json:"dataset_generate_ns"`
 }
 
 // Snapshot captures the current metric values. Nil-safe: a nil
@@ -82,6 +88,8 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.Workers = m.workers.Load()
 	s.WorkerBusyNS = m.WorkerBusyNS.Load()
 	s.ShardLatency = m.ShardLatency.Snapshot()
+	s.DatasetsGenerated = m.DatasetsGenerated.Load()
+	s.DatasetGenerateNS = m.DatasetGenerateNS.Load()
 	if s.ElapsedNS > 0 {
 		s.InjectionsPerSec = float64(s.Injections) / (float64(s.ElapsedNS) / float64(time.Second))
 		if s.Workers > 0 {

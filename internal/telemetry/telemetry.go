@@ -211,6 +211,11 @@ type Metrics struct {
 	WorkerBusyNS Counter
 	// ShardLatency is the per-shard wall-clock histogram.
 	ShardLatency Histogram
+	// DatasetsGenerated counts datasets synthesized for injection.
+	DatasetsGenerated Counter
+	// DatasetGenerateNS accumulates the time spent generating them,
+	// nanoseconds.
+	DatasetGenerateNS Counter
 
 	workers atomic.Int64
 	startNS atomic.Int64
@@ -283,6 +288,16 @@ func (m *Metrics) AddWorkerBusy(d time.Duration) {
 		return
 	}
 	m.WorkerBusyNS.Add(int64(d))
+}
+
+// ObserveDatasetGenerate records one dataset generation of duration
+// d (nil-safe).
+func (m *Metrics) ObserveDatasetGenerate(d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.DatasetsGenerated.Add(1)
+	m.DatasetGenerateNS.Add(int64(d))
 }
 
 // publishMu guards against double expvar registration (expvar panics

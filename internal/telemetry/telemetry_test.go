@@ -34,6 +34,7 @@ func TestCountersConcurrent(t *testing.T) {
 						m.ObserveShard("resumed", 0, 1)
 						m.ObserveBackoff(time.Millisecond)
 						m.AddWorkerBusy(time.Microsecond)
+						m.ObserveDatasetGenerate(2 * time.Microsecond)
 					}
 				}()
 			}
@@ -59,6 +60,10 @@ func TestCountersConcurrent(t *testing.T) {
 			}
 			if s.WorkerBusyNS != n*int64(time.Microsecond) {
 				t.Errorf("WorkerBusyNS = %d, want %d", s.WorkerBusyNS, n*int64(time.Microsecond))
+			}
+			if s.DatasetsGenerated != n || s.DatasetGenerateNS != 2*n*int64(time.Microsecond) {
+				t.Errorf("DatasetsGenerated = %d (%d ns), want %d (%d ns)",
+					s.DatasetsGenerated, s.DatasetGenerateNS, n, 2*n*int64(time.Microsecond))
 			}
 			h := s.ShardLatency
 			if h.Count != n {
@@ -118,6 +123,7 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	m.ObserveShard("done", time.Second, 2)
 	m.ObserveBackoff(time.Second)
 	m.AddWorkerBusy(time.Second)
+	m.ObserveDatasetGenerate(time.Second)
 	s := m.Snapshot()
 	if s.Schema != SnapshotSchema {
 		t.Errorf("nil snapshot schema = %q, want %q", s.Schema, SnapshotSchema)
@@ -132,9 +138,15 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	m.SetWorkers(2)
 	m.AddInjections(42)
 	m.ObserveShard("done", 5*time.Millisecond, 2)
+	m.ObserveDatasetGenerate(3 * time.Millisecond)
 	var buf bytes.Buffer
 	if err := m.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
+	}
+	for _, key := range []string{`"datasets_generated": 1`, `"dataset_generate_ns": 3000000`} {
+		if !bytes.Contains(buf.Bytes(), []byte(key)) {
+			t.Errorf("snapshot lacks %s:\n%s", key, buf.Bytes())
+		}
 	}
 	var s Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
@@ -143,7 +155,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if s.Schema != SnapshotSchema {
 		t.Errorf("schema = %q, want %q", s.Schema, SnapshotSchema)
 	}
-	if s.Injections != 42 || s.ShardsDone != 1 || s.Retries != 1 {
+	if s.Injections != 42 || s.ShardsDone != 1 || s.Retries != 1 ||
+		s.DatasetsGenerated != 1 || s.DatasetGenerateNS != int64(3*time.Millisecond) {
 		t.Errorf("round-tripped snapshot lost values: %+v", s)
 	}
 	if s.ElapsedNS <= 0 {

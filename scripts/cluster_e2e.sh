@@ -38,10 +38,12 @@ BIN="$TMP/positserve"
 $GO build -o "$BIN" ./cmd/positserve
 
 # Same field/formats as serve_e2e.sh but 2 bits per shard (24 shards:
-# 16/2 + 32/2) and a much larger field/trial budget, so shards take
-# long enough that killing a worker mid-run leaves real work to
+# 16/2 + 32/2) and a much larger field/trial budget. A worker generates
+# the field on its first shard and serves the rest from its dataset
+# cache, so that first shard of the 2M-element field is the campaign's
+# long stretch: the kill below lands in it, leaving real work to
 # re-dispatch.
-BODY='{"fields":["CESM/CLOUD"],"formats":["posit16","ieee32"],"n":200000,"trials_per_bit":400,"seed":5,"bits_per_shard":2}'
+BODY='{"fields":["CESM/CLOUD"],"formats":["posit16","ieee32"],"n":2000000,"trials_per_bit":400,"seed":5,"bits_per_shard":2}'
 
 # start_node <data-dir> <log> [extra flags...] — launches positserve on
 # a random port and sets NODE_BASE/NODE_PID.
@@ -142,15 +144,17 @@ CLUSTER_ID=$(submit_campaign "$COORD_BASE")
 [ -n "$CLUSTER_ID" ] || { echo "cluster submission returned no job id"; cat "$TMP/coord.log"; exit 1; }
 
 echo "--- SIGKILL worker 1 mid-campaign"
-# Wait until real shards have completed so the victim has been in the
-# rotation, then kill it with work still outstanding (24 shards total).
+# Wait until the coordinator has a shard in flight on the victim, then
+# kill it with that shard and the rest of the campaign outstanding (24
+# shards total).
 for _ in $(seq 1 600); do
-	done_shards=$($CURL "$COORD_BASE/v1/campaigns/$CLUSTER_ID" | sed -n 's/.*"done": \([0-9]*\).*/\1/p' | head -n 1)
-	[ -n "$done_shards" ] && [ "$done_shards" -ge 2 ] && break
-	sleep 0.05
+	busy=$($CURL "$COORD_BASE/v1/workers" | tr -d ' \n' | sed -n "s|.*\"url\":\"$W1_BASE\",\"healthy\":[a-z]*,\"busy\":\([0-9]*\).*|\1|p")
+	[ -n "$busy" ] && [ "$busy" -ge 1 ] && break
+	sleep 0.01
 done
 kill -9 "$W1_PID"
-echo "killed worker 1 after $done_shards shards"
+done_shards=$($CURL "$COORD_BASE/v1/campaigns/$CLUSTER_ID" | sed -n 's/.*"done": \([0-9]*\).*/\1/p' | head -n 1)
+echo "killed worker 1 with $busy shard(s) in flight, $done_shards shards done"
 
 wait_complete "$COORD_BASE" "$CLUSTER_ID"
 mkdir -p "$TMP/cluster-csv"
