@@ -497,7 +497,7 @@ func benchCases(budget figures.Budget) []benchCase {
 		// the shard hop and the coordinator's journal.
 		{"cluster_campaign_1worker", benchClusterCampaign(1, budget)},
 		{"cluster_campaign_3workers", benchClusterCampaign(3, budget)},
-		// The columnar trial store: shard append (encode + online
+		// The columnar trial store: shard append (encode + per-bit
 		// aggregation, the runner's sink path), CSV render from columns
 		// (what GET /results streams), and a figure built purely from
 		// the footer aggregates — no trial rescan, so its cost is
@@ -669,11 +669,11 @@ func storeShard(b *testing.B, budget figures.Budget, dir string) string {
 }
 
 // benchStoreAppend measures the runner-sink hot path: one shard's
-// trials encoded as a columnar block and folded into fresh per-bit
-// aggregates. A store takes each bit from one shard only, so every op
-// is the first append of its bits, to a writer created (and
+// trials encoded as a columnar block and aggregated per bit by
+// core.AggregateByBit. A store takes each bit from one shard only, so
+// every op is the first append of its bits, to a writer created (and
 // discarded) outside the timer; allocs/op is therefore the per-shard
-// cost of a campaign's appends, aggregate states included.
+// cost of a campaign's appends, the per-bit aggregates included.
 func benchStoreAppend(budget figures.Budget) func(*testing.B) {
 	return func(b *testing.B) {
 		trials := shardTrials(b, budget)

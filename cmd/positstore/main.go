@@ -5,15 +5,16 @@
 //
 //	positstore cat FILE.pts              # stream the rows as CSV
 //	positstore agg FILE.pts              # print the positres-aggregate/v1 JSON
-//	positstore verify FILE.pts ...       # full-file CRC verification
+//	positstore verify FILE.pts ...       # full-file CRC and aggregate verification
 //	positstore smoke [flags]             # bounded-memory equivalence check
 //
 // smoke is the CI driver for the store's two core guarantees: a
 // campaign streamed shard by shard into a store renders CSV
 // byte-identical (SHA-256-compared) to the direct core.WriteTrialsCSV
-// path, and the footer aggregates form a valid aggregate document —
-// all without ever holding more than one shard of trials in memory,
-// so it runs a 10⁷-trial campaign under a small GOMEMLIMIT.
+// path, and the footer aggregates pass Verify (each equals
+// core.AggregateByBit over its block) and form a valid aggregate
+// document — all without ever holding more than one shard of trials in
+// memory, so it runs a 10⁷-trial campaign under a small GOMEMLIMIT.
 //
 // Exit codes: 0 ok; 1 failure; 2 usage.
 package main
@@ -106,7 +107,8 @@ func aggCmd(args []string) error {
 	})
 }
 
-// verifyCmd runs the full CRC walk over each file, reporting per-file.
+// verifyCmd runs Reader.Verify over each file — every block CRC, and
+// every footer aggregate against its block — reporting per-file.
 func verifyCmd(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("expected FILE.pts arguments")
@@ -131,9 +133,9 @@ func verifyCmd(args []string) error {
 
 // smokeCmd streams one (field, format) campaign into a store shard by
 // shard while hashing the direct CSV encoding of the same trials, then
-// compares the store's rendered CSV against it and validates the
-// aggregate document. Peak trial residency is one shard, so the whole
-// check runs in bounded memory regardless of -trials.
+// verifies the store, compares its rendered CSV against the hash and
+// validates the aggregate document. Peak trial residency is one shard,
+// so the whole check runs in bounded memory regardless of -trials.
 func smokeCmd(args []string) error {
 	fs := flag.NewFlagSet("smoke", flag.ExitOnError)
 	var (
@@ -217,6 +219,9 @@ func smokeCmd(args []string) error {
 		return err
 	}
 	defer rd.Close()
+	if err := rd.Verify(); err != nil {
+		return err
+	}
 	storeHash := sha256.New()
 	if err := rd.RenderCSV(storeHash); err != nil {
 		return err

@@ -126,6 +126,35 @@ func TestCLIPositcampaign(t *testing.T) {
 	}
 }
 
+// TestCLIPositcampaignStoreSummary: the summary tables printed from the
+// trials (-out) and from the sealed store's footer (-store-out) are
+// identical — the footer holds core.AggregateByBit's exact medians.
+func TestCLIPositcampaignStoreSummary(t *testing.T) {
+	bin := buildTool(t, "positcampaign")
+	tables := func(dest string) string {
+		out, err := run(t, bin, "-field", "Hurricane/Vf30", "-formats", "posit32,ieee32",
+			"-n", "20000", "-trials", "10", dest, t.TempDir())
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", dest, err, out)
+		}
+		// Keep the tables; drop the lines naming timings and paths.
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "==") && !strings.HasPrefix(line, "   ") && !strings.HasPrefix(line, "total:") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	direct, stored := tables("-out"), tables("-store-out")
+	if !strings.Contains(direct, "median rel err") {
+		t.Fatalf("no summary table in -out output:\n%s", direct)
+	}
+	if direct != stored {
+		t.Errorf("summary tables differ:\n-out:\n%s\n-store-out:\n%s", direct, stored)
+	}
+}
+
 func TestCLIPositreport(t *testing.T) {
 	bin := buildTool(t, "positreport")
 	dir := t.TempDir()

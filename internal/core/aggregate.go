@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"positres/internal/stats"
@@ -32,54 +33,96 @@ type BitAgg struct {
 }
 
 // AggregateByBit groups trials by bit position. Bits with no trials
-// are omitted; results are sorted by bit.
+// are omitted; results are sorted by bit. It is the one per-bit fold:
+// the store persists its result in the .pts footer, so a summary read
+// back from a store equals one computed over the trials, bit for bit.
+// Means and maxima fold serially, so results do not depend on
+// GOMAXPROCS; medians are exact.
 func AggregateByBit(trials []Trial) []BitAgg {
-	byBit := map[int][]Trial{}
-	for _, tr := range trials {
-		byBit[tr.Bit] = append(byBit[tr.Bit], tr)
+	folds := foldBy(trials, func(tr *Trial) int { return tr.Bit })
+	out := make([]BitAgg, 0, len(folds))
+	for bit, f := range folds {
+		out = append(out, f.agg(bit))
 	}
-	bits := make([]int, 0, len(byBit))
-	for b := range byBit {
-		bits = append(bits, b)
-	}
-	sort.Ints(bits)
-	out := make([]BitAgg, 0, len(bits))
-	for _, b := range bits {
-		out = append(out, aggregateOne(b, byBit[b]))
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Bit < out[j].Bit })
 	return out
 }
 
-func aggregateOne(bit int, trials []Trial) BitAgg {
-	agg := BitAgg{Bit: bit, Trials: len(trials), FieldShare: map[string]float64{}}
-	var rels, abss []float64
-	for _, tr := range trials {
-		agg.FieldShare[tr.FieldName] += 1 / float64(len(trials))
-		if tr.Catastrophic {
-			agg.Catastrophic++
-			continue
+// aggFold accumulates one group of trials in a single pass without
+// copying them: counts and field tallies over every trial; moments and
+// the errors themselves (for the geometric mean and the exact medians)
+// over the non-catastrophic ones.
+type aggFold struct {
+	trials, catastrophic int
+	fields               map[string]int
+	rel, abs             stats.Moments
+	rels, abss           []float64
+}
+
+// foldBy folds trials into one aggFold per key. Trials usually arrive
+// in runs of one key (a shard is bit-major), so each run costs one map
+// lookup and one right-sized growth of its fold's error slices: every
+// store append aggregates its shard, and garbage here sets the GC pace
+// of a whole campaign.
+func foldBy[K comparable](trials []Trial, key func(*Trial) K) map[K]*aggFold {
+	folds := map[K]*aggFold{}
+	for i := 0; i < len(trials); {
+		k := key(&trials[i])
+		end := i + 1
+		for end < len(trials) && key(&trials[end]) == k {
+			end++
 		}
-		rels = append(rels, tr.RelErr)
-		abss = append(abss, tr.AbsErr)
+		f := folds[k]
+		if f == nil {
+			f = &aggFold{fields: map[string]int{}, rel: stats.NewMoments(), abs: stats.NewMoments()}
+			folds[k] = f
+		}
+		f.rels = slices.Grow(f.rels, end-i)
+		f.abss = slices.Grow(f.abss, end-i)
+		for ; i < end; i++ {
+			f.add(&trials[i])
+		}
 	}
-	if len(rels) == 0 {
-		agg.MeanRelErr = math.NaN()
-		agg.MedianRelErr = math.NaN()
-		agg.GeoRelErr = math.NaN()
-		agg.MaxRelErr = math.NaN()
-		agg.MeanAbsErr = math.NaN()
-		agg.MedianAbsErr = math.NaN()
-		agg.MaxAbsErr = math.NaN()
-		return agg
+	return folds
+}
+
+// add folds one trial in: every trial counts toward the field
+// attribution, only non-catastrophic ones toward the error statistics.
+func (f *aggFold) add(tr *Trial) {
+	f.trials++
+	f.fields[tr.FieldName]++
+	if tr.Catastrophic {
+		f.catastrophic++
+		return
 	}
-	agg.MeanRelErr = stats.Mean(rels)
-	agg.MedianRelErr = stats.Median(rels)
-	agg.GeoRelErr = stats.GeoMean(rels)
-	agg.MaxRelErr = stats.Max(rels)
-	agg.MeanAbsErr = stats.Mean(abss)
-	agg.MedianAbsErr = stats.Median(abss)
-	agg.MaxAbsErr = stats.Max(abss)
-	return agg
+	f.rel.Add(tr.RelErr)
+	f.abs.Add(tr.AbsErr)
+	f.rels = append(f.rels, tr.RelErr)
+	f.abss = append(f.abss, tr.AbsErr)
+}
+
+// agg finalizes the fold into the aggregate of one bit position. It
+// reorders the fold's error slices, so it runs once per fold.
+func (f *aggFold) agg(bit int) BitAgg {
+	a := BitAgg{Bit: bit, Trials: f.trials, Catastrophic: f.catastrophic,
+		FieldShare: make(map[string]float64, len(f.fields))}
+	for name, n := range f.fields {
+		a.FieldShare[name] = float64(n) / float64(f.trials)
+	}
+	if len(f.rels) == 0 {
+		nan := math.NaN()
+		a.MeanRelErr, a.MedianRelErr, a.GeoRelErr, a.MaxRelErr = nan, nan, nan, nan
+		a.MeanAbsErr, a.MedianAbsErr, a.MaxAbsErr = nan, nan, nan
+		return a
+	}
+	a.MeanRelErr = f.rel.Mean()
+	a.GeoRelErr = stats.GeoMean(f.rels) // sums in trial order: before the median reorders rels
+	a.MedianRelErr = stats.MedianInPlace(f.rels)
+	a.MaxRelErr = f.rel.Max()
+	a.MeanAbsErr = f.abs.Mean()
+	a.MedianAbsErr = stats.MedianInPlace(f.abss)
+	a.MaxAbsErr = f.abs.Max()
+	return a
 }
 
 // Filter returns the trials satisfying pred.
@@ -167,16 +210,13 @@ func SignBoxes(trials []Trial, width int) []struct {
 }
 
 // FieldErrorSummary groups trials by the name of the flipped field and
-// summarizes each group's relative error — the paper's §5 narrative
-// (regime vs exponent vs fraction vs sign).
+// summarizes each group with the same fold as AggregateByBit — the
+// paper's §5 narrative (regime vs exponent vs fraction vs sign).
 func FieldErrorSummary(trials []Trial) map[string]BitAgg {
-	byField := map[string][]Trial{}
-	for _, tr := range trials {
-		byField[tr.FieldName] = append(byField[tr.FieldName], tr)
-	}
-	out := map[string]BitAgg{}
-	for name, ts := range byField {
-		out[name] = aggregateOne(-1, ts)
+	folds := foldBy(trials, func(tr *Trial) string { return tr.FieldName })
+	out := make(map[string]BitAgg, len(folds))
+	for name, f := range folds {
+		out[name] = f.agg(-1)
 	}
 	return out
 }

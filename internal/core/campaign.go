@@ -44,7 +44,8 @@ type Config struct {
 	// negligible zero mass). When false, zero selections are injected
 	// and recorded as catastrophic.
 	SkipZeros bool
-	// MaxSelectAttempts bounds the zero-rejection loop per trial.
+	// MaxSelectAttempts bounds the zero-rejection loop per trial;
+	// zero or less means defaultMaxSelectAttempts.
 	MaxSelectAttempts int
 	// Metrics, when non-nil, receives injection and bit-completion
 	// counts as the campaign runs (telemetry.Snapshot derives
@@ -54,13 +55,17 @@ type Config struct {
 	Metrics *telemetry.Metrics
 }
 
+// defaultMaxSelectAttempts is the zero-rejection bound DefaultConfig
+// sets and the engines fall back to when a Config leaves it unset.
+const defaultMaxSelectAttempts = 64
+
 // DefaultConfig mirrors the paper's campaign parameters.
 func DefaultConfig() Config {
 	return Config{
 		Seed:              1,
 		TrialsPerBit:      313,
 		SkipZeros:         true,
-		MaxSelectAttempts: 64,
+		MaxSelectAttempts: defaultMaxSelectAttempts,
 	}
 }
 
@@ -175,7 +180,7 @@ func RunRangeInto(ctx context.Context, cfg Config, codec numfmt.Codec, fieldKey 
 		return nil, fmt.Errorf("core: campaign %s/%s: %w", fieldKey, codec.Name(), err)
 	}
 	if cfg.MaxSelectAttempts <= 0 {
-		cfg.MaxSelectAttempts = 64
+		cfg.MaxSelectAttempts = defaultMaxSelectAttempts
 	}
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"positres/internal/numfmt"
@@ -206,6 +207,60 @@ func TestAggregateByBit(t *testing.T) {
 	aggs = AggregateByBit([]Trial{{Bit: 1, Catastrophic: true}})
 	if !math.IsNaN(aggs[0].MeanRelErr) || aggs[0].Catastrophic != 1 {
 		t.Errorf("all-catastrophic agg: %+v", aggs[0])
+	}
+}
+
+// TestAggregateByBitMatchesSliceStats: below stats' parallel threshold
+// the one-pass fold gives, bit for bit, what the slice functions give
+// over each bit's non-catastrophic errors in trial order — the
+// definition the figures were built on, so their output does not move.
+func TestAggregateByBitMatchesSliceStats(t *testing.T) {
+	data := testData(t, "Hurricane/Vf30", 4000)
+	r, err := Run(context.Background(), smallCfg(), mustCodec(t, "ieee32"), "Hurricane/Vf30", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range AggregateByBit(r.Trials) {
+		var rels, abss []float64
+		for _, tr := range r.Trials {
+			if tr.Bit == a.Bit && !tr.Catastrophic {
+				rels = append(rels, tr.RelErr)
+				abss = append(abss, tr.AbsErr)
+			}
+		}
+		if len(rels) == 0 {
+			continue // all catastrophic: NaN aggregates, pinned by TestAggregateByBit
+		}
+		got := []float64{a.MeanRelErr, a.MedianRelErr, a.GeoRelErr, a.MaxRelErr, a.MeanAbsErr, a.MedianAbsErr, a.MaxAbsErr}
+		want := []float64{stats.Mean(rels), stats.Median(rels), stats.GeoMean(rels), stats.Max(rels),
+			stats.Mean(abss), stats.Median(abss), stats.Max(abss)}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("bit %d: aggregate %d = %v, slice stats %v", a.Bit, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAggregateByBitIndependentOfGOMAXPROCS: a bit with more trials
+// than stats' parallel threshold (2^16) aggregates to the same bits at
+// GOMAXPROCS 1 and 3 — the fold is serial, so a store appended on one
+// machine and a figure computed on another agree.
+func TestAggregateByBitIndependentOfGOMAXPROCS(t *testing.T) {
+	rng := sdrbench.NewRNG(7, "gomaxprocs")
+	trials := make([]Trial, 1<<17)
+	for i := range trials {
+		// Errors spanning a dozen decades make any reassociation of
+		// the mean visible in its low bits.
+		rel := math.Exp(24 * (rng.Float64() - 0.5))
+		trials[i] = Trial{Bit: 5, RelErr: rel, AbsErr: 3 * rel, FieldName: "fraction"}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	want := AggregateByBit(trials)
+	runtime.GOMAXPROCS(3)
+	if got := AggregateByBit(trials); !reflect.DeepEqual(got, want) {
+		t.Fatalf("GOMAXPROCS 3 aggregates %+v, GOMAXPROCS 1 %+v", got, want)
 	}
 }
 

@@ -41,7 +41,7 @@ func RunMultiBit(cfg Config, codec numfmt.Codec, fieldKey string, data []float64
 		return nil, fmt.Errorf("core: flip count %d out of range [1,%d]", flips, codec.Width())
 	}
 	if cfg.MaxSelectAttempts <= 0 {
-		cfg.MaxSelectAttempts = 64
+		cfg.MaxSelectAttempts = defaultMaxSelectAttempts
 	}
 	out := make([]MultiTrial, trials)
 	for seq := range out {

@@ -63,14 +63,10 @@ type campaignParams struct {
 }
 
 func paramsOf(cfg core.Config) campaignParams {
-	p := campaignParams{
+	return campaignParams{
 		Seed:              cfg.Seed,
 		TrialsPerBit:      cfg.TrialsPerBit,
 		SkipZeros:         cfg.SkipZeros,
 		MaxSelectAttempts: cfg.MaxSelectAttempts,
 	}
-	if p.MaxSelectAttempts <= 0 {
-		p.MaxSelectAttempts = 64 // core.RunRange's own default
-	}
-	return p
 }

@@ -75,12 +75,18 @@ func testSinkStreams(t *testing.T, ref *Report, workers int) {
 		if err := r.RenderCSV(&got); err != nil {
 			t.Fatal(err)
 		}
+		aggs := r.BitAggs()
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if want := renderCSV(t, ref.Results[i]); !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("%s: store CSV differs from slab CSV (%d vs %d bytes)",
 				sp.Key(), got.Len(), len(want))
+		}
+		// %v prints each float in its shortest round-tripping form,
+		// so equal text is equal bits (NaN-safe, unlike ==).
+		if g, w := fmt.Sprint(aggs), fmt.Sprint(core.AggregateByBit(ref.Results[i].Trials)); g != w {
+			t.Fatalf("%s: store aggregates differ from the slab's:\n got %s\nwant %s", sp.Key(), g, w)
 		}
 	}
 }

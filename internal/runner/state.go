@@ -110,13 +110,6 @@ func (s *state) finish(rep *Report) error {
 		return nil
 	}
 	s.manifest.Shards = rep.Shards
-	switch {
-	case rep.Cancelled:
-		s.manifest.State = StateCancelled
-	case rep.Failed > 0:
-		s.manifest.State = StatePartial
-	default:
-		s.manifest.State = StateComplete
-	}
+	s.manifest.State = rep.Outcome()
 	return writeManifest(s.manifestPath, s.manifest)
 }

@@ -8,13 +8,13 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"strconv"
 	"strings"
 
 	"positres/internal/spec"
+	"positres/internal/store"
 )
 
 // Stable error codes of the service. These are API surface: clients
@@ -76,46 +76,11 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 // JSONFloat is a float64 that marshals non-finite values as the
 // strings "NaN", "+Inf" and "-Inf" instead of failing (encoding/json
 // rejects them as numbers). Catastrophic flips produce exactly those
-// values, so they must survive the trip to the client. It is exported
-// because InjectResponse carries it both server-side and in
-// Client.Inject's decoded answer.
-type JSONFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f JSONFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON implements json.Unmarshaler, inverting MarshalJSON so
-// Client.Inject round-trips non-finite values exactly.
-func (f *JSONFloat) UnmarshalJSON(raw []byte) error {
-	switch string(raw) {
-	case `"NaN"`:
-		*f = JSONFloat(math.NaN())
-		return nil
-	case `"+Inf"`:
-		*f = JSONFloat(math.Inf(1))
-		return nil
-	case `"-Inf"`:
-		*f = JSONFloat(math.Inf(-1))
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return err
-	}
-	*f = JSONFloat(v)
-	return nil
-}
+// values, so they must survive the trip to the client. It is the
+// store's Float, so inject answers and aggregate documents share one
+// encoding; it is exported because InjectResponse carries it both
+// server-side and in Client.Inject's decoded answer.
+type JSONFloat = store.Float
 
 // HexBits is a bit pattern that marshals as a "0x…" hex string.
 // Patterns of the 64-bit formats exceed 2^53, so emitting them as

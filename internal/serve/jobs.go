@@ -645,20 +645,25 @@ func (s *jobStore) recoverOne(id string) (*job, bool, error) {
 			close(j.done)
 			return j, false, nil
 		}
-		// Manifest finished but stores missing (crash inside
-		// publication): resume replays the journal and republishes.
+		// Manifest finished but a store is missing (crash inside
+		// publication) or unreadable (an older store version): resume
+		// replays the journal and republishes.
 	}
 	return j, true, nil
 }
 
-// existingResults checks for every spec's sealed .pts store,
-// returning refs only when all are present.
+// existingResults opens every spec's sealed .pts store, returning
+// refs only when all of them open: a store this build cannot read
+// (ErrVersion, ErrCorrupt) counts as missing, so the job republishes
+// it instead of answering every results request with a 500.
 func existingResults(dir, id string, specs []runner.Spec) ([]ResultRef, bool) {
 	var refs []ResultRef
 	for _, sp := range specs {
-		if _, err := os.Stat(filepath.Join(dir, store.FileName(sp.Field, sp.Codec))); err != nil {
+		rd, err := store.Open(filepath.Join(dir, store.FileName(sp.Field, sp.Codec)))
+		if err != nil {
 			return nil, false
 		}
+		_ = rd.Close() // opened only to validate
 		refs = append(refs, ResultRef{Field: sp.Field, Format: sp.Codec, URL: resultURL(id, sp.Field, sp.Codec)})
 	}
 	return refs, true

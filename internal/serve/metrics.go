@@ -44,8 +44,8 @@ type metricsResponse struct {
 	// single-node operation (no workers ever registered).
 	Cluster *telemetry.ClusterSnapshot `json:"cluster,omitempty"`
 	// CampaignAggregates holds the live per-bit aggregate summaries of
-	// every running campaign, straight from the trial stores' online
-	// aggregation — O(specs×bits) per campaign, no trial scan. Omitted
+	// every running campaign, straight from the trial stores' per-bit
+	// aggregates — O(specs×bits) per campaign, no trial scan. Omitted
 	// when nothing is running.
 	CampaignAggregates []campaignAggregates `json:"campaign_aggregates,omitempty"`
 }

@@ -8,11 +8,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"positres/internal/core"
 	"positres/internal/store"
 )
 
@@ -168,5 +170,10 @@ func TestMetricsLiveAggregates(t *testing.T) {
 	aggs := live.CampaignAggregates[0].Aggregates
 	if len(aggs) != 1 || aggs[0].Sealed || aggs[0].Trials != uint64(len(trials)) {
 		t.Fatalf("live snapshot = %+v", aggs)
+	}
+	// Through JSON and back, the live document still equals the exact
+	// fold bit for bit (%v prints shortest round-tripping floats).
+	if got, want := fmt.Sprint(aggs[0].BitAggs()), fmt.Sprint(core.AggregateByBit(trials)); got != want {
+		t.Fatalf("live aggregates differ from core.AggregateByBit:\n got %s\nwant %s", got, want)
 	}
 }

@@ -448,23 +448,39 @@ func TestRecovery(t *testing.T) {
 		t.Fatalf("recovered terminal job = %+v", got)
 	}
 
-	// Delete the published store (simulating a crash between manifest
-	// completion and publication): a third server must re-enqueue the
-	// job, replay the journal, and republish identical bytes.
-	jobDir := filepath.Join(dir, "jobs", st.ID)
-	if err := os.Remove(filepath.Join(jobDir, store.FileName("CESM/CLOUD", "posit8"))); err != nil {
-		t.Fatal(err)
-	}
-	srv3, ts3 := newTestServer(t, Config{DataDir: dir})
-	waitForState(t, srv3, st.ID, "complete")
-	j3, _ := srv3.jobs.get(st.ID)
-	got := statusOf(j3)
-	if got.Shards.Resumed != 1 {
-		t.Errorf("recovered shards = %+v, want 1 resumed (journal replay, not recompute)", got.Shards)
-	}
-	csv3 := fetchCSV(t, ts3.URL+got.Results[0].URL)
-	if !bytes.Equal(csv1, csv3) {
-		t.Error("republished CSV differs from the original run")
+	// A published store that is gone (a crash between manifest
+	// completion and publication) or unreadable (written by an older
+	// store version) counts as missing: the next server must re-enqueue
+	// the job, replay the journal, and republish identical bytes.
+	storePath := filepath.Join(dir, "jobs", st.ID, store.FileName("CESM/CLOUD", "posit8"))
+	for _, damage := range []struct {
+		name string
+		do   func() error
+	}{
+		{"deleted", func() error { return os.Remove(storePath) }},
+		{"older version", func() error {
+			raw, err := os.ReadFile(storePath)
+			if err != nil {
+				return err
+			}
+			raw[4] = store.Version - 1 // the header's version byte, after "PTSC"
+			return os.WriteFile(storePath, raw, 0o644)
+		}},
+	} {
+		if err := damage.do(); err != nil {
+			t.Fatal(err)
+		}
+		srv3, ts3 := newTestServer(t, Config{DataDir: dir})
+		waitForState(t, srv3, st.ID, "complete")
+		j3, _ := srv3.jobs.get(st.ID)
+		got := statusOf(j3)
+		if got.Shards.Resumed != 1 {
+			t.Errorf("%s store: recovered shards = %+v, want 1 resumed (journal replay, not recompute)", damage.name, got.Shards)
+		}
+		csv3 := fetchCSV(t, ts3.URL+got.Results[0].URL)
+		if !bytes.Equal(csv1, csv3) {
+			t.Errorf("%s store: republished CSV differs from the original run", damage.name)
+		}
 	}
 }
 

@@ -96,14 +96,14 @@ func (m *moments) merge(o moments) {
 	}
 }
 
-// Moments is the exported face of the mergeable moment accumulator,
-// for callers that fold values in online (one Add per trial) rather
-// than over a materialized slice — the columnar store's per-bit
-// aggregates. Because Add is the same serial Welford update that
-// reduceMoments applies below parallelThreshold, a Moments fed values
-// in slice order reproduces Mean/Min/Max/Std bit-for-bit for inputs
-// under that threshold, and within Chan-merge reassociation error
-// above it. The zero value is NOT ready to use; call NewMoments.
+// Moments is the exported face of the moment accumulator, for callers
+// that fold values in one at a time rather than over a materialized
+// slice — core's per-bit aggregation. Add is the same serial Welford
+// update that reduceMoments applies below parallelThreshold, so a
+// Moments fed values in slice order reproduces Mean and Max
+// bit-for-bit there; above it, Moments stays serial and so, unlike
+// Mean, does not depend on GOMAXPROCS. The zero value is NOT ready to
+// use; call NewMoments.
 type Moments struct{ m moments }
 
 // NewMoments returns an empty accumulator (min +Inf, max -Inf).
@@ -113,55 +113,12 @@ func NewMoments() Moments { return Moments{m: newMoments()} }
 // Summarize's treatment of special values.
 func (a *Moments) Add(x float64) { a.m.add(x) }
 
-// Merge combines another accumulator into a, as if a had also seen
-// every value o saw (Chan et al. pairwise update, exact for count,
-// min and max; mean and variance reassociate).
-func (a *Moments) Merge(o Moments) { a.m.merge(o.m) }
-
-// N reports how many finite values have been folded in.
-func (a *Moments) N() int { return a.m.n }
-
 // Mean returns the running arithmetic mean (0 when empty, like the
-// zero moments struct; callers gate on N for the empty case).
+// zero moments struct).
 func (a *Moments) Mean() float64 { return a.m.mean }
-
-// Min returns the smallest value seen (+Inf when empty).
-func (a *Moments) Min() float64 { return a.m.min }
 
 // Max returns the largest value seen (-Inf when empty).
 func (a *Moments) Max() float64 { return a.m.max }
-
-// Std returns the running population standard deviation (NaN when
-// empty), matching Std over the same values.
-func (a *Moments) Std() float64 {
-	if a.m.n == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(a.m.m2 / float64(a.m.n))
-}
-
-// MomentsState is the portable content of a Moments accumulator, for
-// callers that persist aggregates (the columnar store's footer) and
-// must reconstruct the exact accumulator later. M2 is the running sum
-// of squared deviations — internal state, exposed only so a
-// round-trip through storage is lossless.
-type MomentsState struct {
-	// N counts the finite values folded in.
-	N int
-	// Mean, M2, Min and Max are the raw accumulator fields.
-	Mean, M2, Min, Max float64
-}
-
-// State exports the accumulator's content.
-func (a *Moments) State() MomentsState {
-	return MomentsState{N: a.m.n, Mean: a.m.mean, M2: a.m.m2, Min: a.m.min, Max: a.m.max}
-}
-
-// MomentsFromState reconstructs the accumulator State exported —
-// bit-for-bit, so persisted aggregates keep merging exactly.
-func MomentsFromState(s MomentsState) Moments {
-	return Moments{m: moments{n: s.N, mean: s.Mean, m2: s.M2, min: s.Min, max: s.Max}}
-}
 
 // parallelThreshold is the array size below which reduction runs
 // serially (goroutine startup costs more than the work).
@@ -231,10 +188,23 @@ func Median(data []float64) float64 {
 	return Quantile(data, 0.5)
 }
 
+// MedianInPlace is Median for a caller that is done with data: it
+// selects among the finite elements in place, reordering data instead
+// of copying it. The result is Median's, bit for bit.
+func MedianInPlace(data []float64) float64 {
+	return quantileInto(data[:0], data, 0.5)
+}
+
 // Quantile returns the q-th quantile (0 <= q <= 1) of the finite
 // elements using linear interpolation between order statistics.
 func Quantile(data []float64, q float64) float64 {
-	finite := make([]float64, 0, len(data))
+	return quantileInto(make([]float64, 0, len(data)), data, q)
+}
+
+// quantileInto gathers data's finite elements into finite, which may
+// alias data (the gather only ever writes behind its read position),
+// and returns their q-th quantile.
+func quantileInto(finite, data []float64, q float64) float64 {
 	for _, x := range data {
 		if !math.IsNaN(x) && !math.IsInf(x, 0) {
 			finite = append(finite, x)

@@ -125,7 +125,8 @@ func TestQuantileAgainstSort(t *testing.T) {
 }
 
 // TestMedianPermutationInvariant (property): the median never depends
-// on input order.
+// on input order, and MedianInPlace, with special values mixed in for
+// it to skip, returns the same value.
 func TestMedianPermutationInvariant(t *testing.T) {
 	f := func(data []float64) bool {
 		clean := make([]float64, 0, len(data))
@@ -142,7 +143,11 @@ func TestMedianPermutationInvariant(t *testing.T) {
 		rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		return Median(shuffled) == m1
+		if Median(shuffled) != m1 {
+			return false
+		}
+		mixed := append(shuffled, math.NaN(), math.Inf(1), math.Inf(-1))
+		return MedianInPlace(mixed) == m1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -5,128 +5,20 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"positres/internal/artifact"
 	"positres/internal/core"
-	"positres/internal/stats"
 )
 
 // DocSchema tags the aggregate summary JSON document; readers verify
 // it with artifact.CheckSchema before trusting any field.
 const DocSchema = "positres-aggregate/v1"
 
-// bitState is the online aggregate of one (field, codec, bit): the
-// running counterpart of core.aggregateOne, folded per trial at
-// append time so finalizing is O(1) in trial count. Count, mean, max,
-// geometric mean and field shares reproduce the slice-based
-// aggregation exactly (same serial fold order; means reassociate only
-// past stats' parallel threshold); medians come from the sketch and
-// are approximate within SketchAlpha.
-type bitState struct {
-	trials       int
-	catastrophic int
-	fieldCounts  map[string]uint64
-	rel, abs     stats.Moments
-	relSumLog    float64 // Σ ln(relErr) over positive finite — GeoMean's serial fold
-	relLogN      uint64
-	relSketch    *Sketch
-	absSketch    *Sketch
-}
-
-// newBitState returns an empty per-bit aggregate.
-func newBitState() *bitState {
-	return &bitState{
-		fieldCounts: map[string]uint64{},
-		rel:         stats.NewMoments(),
-		abs:         stats.NewMoments(),
-		relSketch:   NewSketch(),
-		absSketch:   NewSketch(),
-	}
-}
-
-// fold absorbs one trial, mirroring core.aggregateOne's per-trial
-// step: every trial contributes to the field attribution, only
-// non-catastrophic ones to the error statistics.
-func (st *bitState) fold(tr *core.Trial) {
-	st.trials++
-	st.fieldCounts[tr.FieldName]++
-	if tr.Catastrophic {
-		st.catastrophic++
-		return
-	}
-	st.rel.Add(tr.RelErr)
-	st.abs.Add(tr.AbsErr)
-	if tr.RelErr > 0 && !math.IsInf(tr.RelErr, 0) {
-		st.relSumLog += math.Log(tr.RelErr)
-		st.relLogN++
-	}
-	st.relSketch.Add(tr.RelErr)
-	st.absSketch.Add(tr.AbsErr)
-}
-
-// agg finalizes the state into a core.BitAgg. FieldShare repeats the
-// 1/n addition per counted trial so the floating-point result is
-// bit-identical to the slice path, not just close.
-func (st *bitState) agg(bit int) core.BitAgg {
-	a := core.BitAgg{
-		Bit:          bit,
-		Trials:       st.trials,
-		Catastrophic: st.catastrophic,
-		FieldShare:   map[string]float64{},
-	}
-	inv := 1 / float64(st.trials)
-	for name, n := range st.fieldCounts {
-		var share float64
-		for i := uint64(0); i < n; i++ {
-			share += inv
-		}
-		a.FieldShare[name] = share
-	}
-	if st.trials-st.catastrophic == 0 {
-		a.MeanRelErr = math.NaN()
-		a.MedianRelErr = math.NaN()
-		a.GeoRelErr = math.NaN()
-		a.MaxRelErr = math.NaN()
-		a.MeanAbsErr = math.NaN()
-		a.MedianAbsErr = math.NaN()
-		a.MaxAbsErr = math.NaN()
-		return a
-	}
-	a.MeanRelErr = st.rel.Mean()
-	a.MedianRelErr = st.relSketch.Quantile(0.5)
-	if st.relLogN == 0 {
-		a.GeoRelErr = math.NaN()
-	} else {
-		a.GeoRelErr = math.Exp(st.relSumLog / float64(st.relLogN))
-	}
-	a.MaxRelErr = st.rel.Max()
-	a.MeanAbsErr = st.abs.Mean()
-	a.MedianAbsErr = st.absSketch.Quantile(0.5)
-	a.MaxAbsErr = st.abs.Max()
-	return a
-}
-
-// finalizeBits turns a per-bit state map into core.BitAggs sorted by
-// bit, the same shape core.AggregateByBit returns.
-func finalizeBits(bits map[int]*bitState) []core.BitAgg {
-	order := make([]int, 0, len(bits))
-	for b := range bits {
-		order = append(order, b)
-	}
-	sort.Ints(order)
-	out := make([]core.BitAgg, 0, len(order))
-	for _, b := range order {
-		out = append(out, bits[b].agg(b))
-	}
-	return out
-}
-
 // Float is a float64 that survives JSON round-trips when non-finite:
 // NaN and ±Inf marshal as the strings "NaN", "+Inf" and "-Inf"
-// (encoding/json rejects them as bare numbers). It mirrors the serve
-// package's JSON float convention so aggregate documents and campaign
-// status payloads speak one dialect.
+// (encoding/json rejects them as bare numbers). serve.JSONFloat is an
+// alias of it, so aggregate documents and the service's payloads speak
+// one dialect.
 type Float float64
 
 // MarshalJSON implements json.Marshaler.
@@ -166,8 +58,8 @@ func (f *Float) UnmarshalJSON(data []byte) error {
 }
 
 // BitSummary is one bit position's aggregate in the JSON document —
-// core.BitAgg with JSON-safe floats and an explicit note that the
-// medians are sketch-derived.
+// core.BitAgg with JSON-safe floats, every value exactly what
+// core.AggregateByBit computes over the bit's trials.
 type BitSummary struct {
 	// Bit is the flipped bit position, 0 = LSB.
 	Bit int `json:"bit"`
@@ -177,15 +69,13 @@ type BitSummary struct {
 	// NaN/Inf/NaR (or whose original was zero).
 	Catastrophic int `json:"catastrophic"`
 	// The error aggregates below summarize the non-catastrophic
-	// trials only, like core.BitAgg. The two medians are quantile-
-	// sketch estimates within SketchAlpha relative accuracy; the rest
-	// are exact online aggregates.
+	// trials only, like core.BitAgg; the medians are exact.
 	MeanRelErr   Float `json:"mean_rel_err"`   // arithmetic mean relative error
-	MedianRelErr Float `json:"median_rel_err"` // sketch-estimated median relative error
+	MedianRelErr Float `json:"median_rel_err"` // median relative error
 	GeoRelErr    Float `json:"geo_rel_err"`    // geometric mean relative error
 	MaxRelErr    Float `json:"max_rel_err"`    // worst observed relative error
 	MeanAbsErr   Float `json:"mean_abs_err"`   // arithmetic mean absolute error
-	MedianAbsErr Float `json:"median_abs_err"` // sketch-estimated median absolute error
+	MedianAbsErr Float `json:"median_abs_err"` // median absolute error
 	MaxAbsErr    Float `json:"max_abs_err"`    // worst observed absolute error
 	// FieldShare is the fraction of trials whose flipped bit fell in
 	// each named bit-field at this position.

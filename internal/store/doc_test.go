@@ -15,12 +15,12 @@ import (
 // format change, bump Version and rewrite the document's example —
 // never patch the constant to match drifting bytes.
 const docExampleHex = `
-50545343010a64656d6f2f6669656c6406706f7369743845000000505453420f010201086672616374
+50545343020a64656d6f2f6669656c6406706f7369743845000000505453420f010201086672616374
 696f6e0101000444460002000000000000f83f000000000000f83f000000000000fc3f000000000000
-d03f555555555555c53f337b56167e00000050545346adafb3d107011749010102010101010001086672
-616374696f6e0101555555555555c53f0000000000000000555555555555c53f555555555555c53f0100
-0000000000d03f0000000000000000000000000000d03f000000000000d03f02202afa0babfcbf010000
-000001b101010000000001890101942b514d8200000050545345`
+d03f555555555555c53f337b5616620000005054534684a2e9cb0d0117490101020101010100555555
+555555c53f555555555555c53f555555555555c53f555555555555c53f000000000000d03f00000000
+0000d03f000000000000d03f01086672616374696f6e000000000000f03f0bf0f8a866000000505453
+45`
 
 // docExampleTrial is the trial of docs/STORE.md's example: 1.5 as posit8
 // (0x44), bit 1 flipped to 0x46 → 1.75, a fraction hit at regime k=1.

@@ -7,7 +7,7 @@ import (
 	"math"
 	"sort"
 
-	"positres/internal/stats"
+	"positres/internal/core"
 )
 
 // Footer sanity bounds: generous multiples of anything a real
@@ -19,13 +19,13 @@ const (
 )
 
 // footerData is the decoded footer: the block index plus the per-bit
-// aggregate states, everything a reader needs to serve rows in bit
-// order and summaries in O(bits).
+// aggregates, everything a reader needs to serve rows in bit order and
+// summaries in O(bits).
 type footerData struct {
 	headCRC uint32 // CRC-32 of the file header (magic..codec string)
 	blocks  []blockInfo
 	rows    uint64
-	bits    map[int]*bitState
+	aggs    []core.BitAgg // ascending by bit
 }
 
 // appendFooter appends the framed footer — length prefix, payload
@@ -34,8 +34,8 @@ type footerData struct {
 // for the header, which no frame of its own covers: a reader
 // recomputes it over the header bytes it parsed, so a flipped bit in
 // the (field, codec) identity fails Open instead of silently
-// relabeling every row.
-func appendFooter(dst []byte, headCRC uint32, blocks []blockInfo, rows uint64, bits map[int]*bitState) []byte {
+// relabeling every row. aggs must be sorted by bit.
+func appendFooter(dst []byte, headCRC uint32, blocks []blockInfo, rows uint64, aggs []core.BitAgg) []byte {
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
 	p := len(dst)                 // payload start
@@ -50,34 +50,9 @@ func appendFooter(dst []byte, headCRC uint32, blocks []blockInfo, rows uint64, b
 		dst = binary.AppendUvarint(dst, uint64(b.BitHi))
 	}
 	dst = binary.AppendUvarint(dst, rows)
-
-	order := make([]int, 0, len(bits))
-	for b := range bits {
-		order = append(order, b)
-	}
-	sort.Ints(order)
-	dst = binary.AppendUvarint(dst, uint64(len(order)))
-	for _, bit := range order {
-		st := bits[bit]
-		dst = binary.AppendUvarint(dst, uint64(bit))
-		dst = binary.AppendUvarint(dst, uint64(st.trials))
-		dst = binary.AppendUvarint(dst, uint64(st.catastrophic))
-		names := make([]string, 0, len(st.fieldCounts))
-		for name := range st.fieldCounts {
-			names = append(names, name)
-		}
-		sort.Strings(names) // deterministic bytes for identical state
-		dst = binary.AppendUvarint(dst, uint64(len(names)))
-		for _, name := range names {
-			dst = appendString(dst, name)
-			dst = binary.AppendUvarint(dst, st.fieldCounts[name])
-		}
-		dst = appendMoments(dst, st.rel)
-		dst = appendMoments(dst, st.abs)
-		dst = appendFixedFloat(dst, st.relSumLog)
-		dst = binary.AppendUvarint(dst, st.relLogN)
-		dst = appendSketch(dst, st.relSketch)
-		dst = appendSketch(dst, st.absSketch)
+	dst = binary.AppendUvarint(dst, uint64(len(aggs)))
+	for i := range aggs {
+		dst = appendBitAgg(dst, &aggs[i])
 	}
 	crc := crc32.ChecksumIEEE(dst[p:])
 	dst = binary.LittleEndian.AppendUint32(dst, crc)
@@ -85,31 +60,42 @@ func appendFooter(dst []byte, headCRC uint32, blocks []blockInfo, rows uint64, b
 	return dst
 }
 
-// appendMoments serializes a moment accumulator's portable state.
-func appendMoments(dst []byte, m stats.Moments) []byte {
-	s := m.State()
-	dst = binary.AppendUvarint(dst, uint64(s.N))
-	dst = appendFixedFloat(dst, s.Mean)
-	dst = appendFixedFloat(dst, s.M2)
-	dst = appendFixedFloat(dst, s.Min)
-	return appendFixedFloat(dst, s.Max)
+// errorAggs lists a BitAgg's seven error aggregates in footer order —
+// the one place that order is written down, for encoder and decoder.
+func errorAggs(a *core.BitAgg) [7]*float64 {
+	return [7]*float64{&a.MeanRelErr, &a.MedianRelErr, &a.GeoRelErr, &a.MaxRelErr,
+		&a.MeanAbsErr, &a.MedianAbsErr, &a.MaxAbsErr}
+}
+
+// appendBitAgg appends one footer aggregate entry: bit, trials and
+// catastrophic count, the seven error aggregates, then the field
+// shares by sorted name. The encoding is canonical — equal aggregates,
+// NaN payloads included, give equal bytes — which is what lets Verify
+// compare entries byte for byte.
+func appendBitAgg(dst []byte, a *core.BitAgg) []byte {
+	dst = binary.AppendUvarint(dst, uint64(a.Bit))
+	dst = binary.AppendUvarint(dst, uint64(a.Trials))
+	dst = binary.AppendUvarint(dst, uint64(a.Catastrophic))
+	for _, v := range errorAggs(a) {
+		dst = appendFixedFloat(dst, *v)
+	}
+	names := make([]string, 0, len(a.FieldShare))
+	for name := range a.FieldShare {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for _, name := range names {
+		dst = appendString(dst, name)
+		dst = appendFixedFloat(dst, a.FieldShare[name])
+	}
+	return dst
 }
 
 // appendFixedFloat appends one float64 as its little-endian bit
 // pattern — lossless, including NaN payloads and signed zeros.
 func appendFixedFloat(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-// readMoments decodes what appendMoments wrote.
-func readMoments(c *cursor) stats.Moments {
-	var s stats.MomentsState
-	s.N = c.intv()
-	s.Mean = c.float()
-	s.M2 = c.float()
-	s.Min = c.float()
-	s.Max = c.float()
-	return stats.MomentsFromState(s)
 }
 
 // unwrapFrame validates one complete length-prefixed CRC frame
@@ -160,7 +146,7 @@ func parseFooter(frame []byte, dataEnd int64) (*footerData, error) {
 	if c.err == nil && nBlocks > maxFooterBlocks {
 		c.fail("block index of %d entries exceeds %d", nBlocks, maxFooterBlocks)
 	}
-	fd := &footerData{headCRC: uint32(headCRC), bits: map[int]*bitState{}}
+	fd := &footerData{headCRC: uint32(headCRC)}
 	var sumRows uint64
 	for i := uint64(0); c.err == nil && i < nBlocks; i++ {
 		var b blockInfo
@@ -201,37 +187,41 @@ func parseFooter(frame []byte, dataEnd int64) (*footerData, error) {
 	if c.err == nil && nBits > maxFooterBits {
 		c.fail("aggregate index of %d bits exceeds %d", nBits, maxFooterBits)
 	}
+	var sumTrials uint64
 	for i := uint64(0); c.err == nil && i < nBits; i++ {
-		bit := c.intv()
-		st := newBitState()
-		st.trials = c.intv()
-		st.catastrophic = c.intv()
-		if c.err == nil && st.catastrophic > st.trials {
-			c.fail("bit %d: %d catastrophic of %d trials", bit, st.catastrophic, st.trials)
-			break
+		a := core.BitAgg{Bit: c.intv(), Trials: c.intv(), Catastrophic: c.intv()}
+		for _, v := range errorAggs(&a) {
+			*v = c.float()
 		}
 		nNames := c.uvarint()
-		if c.err == nil && nNames > maxNames {
-			c.fail("bit %d: name table of %d entries exceeds %d", bit, nNames, maxNames)
+		switch { // c.fail keeps the first error, so a failed read wins
+		case a.Bit >= maxFooterBits:
+			c.fail("aggregate bit %d exceeds %d", a.Bit, maxFooterBits)
+		case i > 0 && a.Bit <= fd.aggs[i-1].Bit:
+			c.fail("aggregate bit %d follows bit %d", a.Bit, fd.aggs[i-1].Bit)
+		case a.Catastrophic > a.Trials:
+			c.fail("bit %d: %d catastrophic of %d trials", a.Bit, a.Catastrophic, a.Trials)
+		case nNames > maxNames:
+			c.fail("bit %d: name table of %d entries exceeds %d", a.Bit, nNames, maxNames)
+		}
+		if c.err != nil {
 			break
 		}
+		a.FieldShare = make(map[string]float64, nNames)
+		prev := ""
 		for j := uint64(0); c.err == nil && j < nNames; j++ {
 			name := c.str()
-			st.fieldCounts[name] = c.uvarint()
-		}
-		st.rel = readMoments(c)
-		st.abs = readMoments(c)
-		st.relSumLog = c.float()
-		st.relLogN = c.uvarint()
-		st.relSketch = readSketch(c)
-		st.absSketch = readSketch(c)
-		if c.err == nil {
-			if _, dup := fd.bits[bit]; dup {
-				c.fail("bit %d listed twice in aggregate index", bit)
-				break
+			if c.err == nil && j > 0 && name <= prev {
+				c.fail("bit %d: field name %q follows %q", a.Bit, name, prev)
 			}
-			fd.bits[bit] = st
+			a.FieldShare[name] = c.float()
+			prev = name
 		}
+		sumTrials += uint64(a.Trials)
+		fd.aggs = append(fd.aggs, a)
+	}
+	if c.err == nil && sumTrials != fd.rows {
+		c.fail("aggregates count %d trials, footer declares %d rows", sumTrials, fd.rows)
 	}
 	if c.err != nil {
 		return nil, c.err

@@ -41,38 +41,22 @@ func writeRawFile(path string, data []byte) error {
 }
 
 // footerSeed builds a realistic sealed footer frame for the fuzz
-// corpus: two blocks, two bit aggregates with moments and sketches.
+// corpus: two blocks and the aggregates of their trials, a
+// catastrophic row and a NaN error among them.
 func footerSeed() []byte {
-	bits := map[int]*bitState{}
-	for b := 0; b < 2; b++ {
-		st := newBitState()
-		st.trials = 3
-		st.catastrophic = 1
-		st.fieldCounts["exponent"] = 2
-		st.fieldCounts["fraction"] = 1
-		st.rel.Add(0.25)
-		st.rel.Add(3e-7)
-		st.abs.Add(1.5)
-		st.abs.Add(2e-3)
-		st.relSumLog = -8.5
-		st.relLogN = 2
-		st.relSketch.Add(0.25)
-		st.relSketch.Add(3e-7)
-		st.absSketch.Add(1.5)
-		st.absSketch.Add(2e-3)
-		bits[b] = st
-	}
 	blocks := []blockInfo{
-		{Offset: 16, Length: 120, Rows: 3, BitLo: 0, BitHi: 1},
-		{Offset: 136, Length: 98, Rows: 3, BitLo: 1, BitHi: 2},
+		{Offset: 16, Length: 120, Rows: 1, BitLo: 0, BitHi: 1},
+		{Offset: 136, Length: 98, Rows: 2, BitLo: 1, BitHi: 2},
 	}
-	return appendFooter(nil, 0xDEADBEEF, blocks, 6, bits)
+	return appendFooter(nil, 0xDEADBEEF, blocks, 3, core.AggregateByBit(seedTrial()))
 }
 
 // FuzzFooterIndex hammers parseFooter with corrupted frames: whatever
 // the bytes, it must return an error or a footer whose block index is
-// fully bounds-checked — never panic, never index past the data
-// region, never allocate unboundedly. Wired into `make fuzz-short`.
+// fully bounds-checked and whose aggregates are ordered and add up —
+// never panic, never index past the data region, never allocate
+// unboundedly — and anything it accepts must re-encode to the same
+// bytes. Wired into `make fuzz-short`.
 func FuzzFooterIndex(f *testing.F) {
 	seed := footerSeed()
 	f.Add(seed, int64(300))
@@ -104,10 +88,20 @@ func FuzzFooterIndex(f *testing.F) {
 		if sum != fd.rows {
 			t.Fatalf("accepted row count %d, block sum %d", fd.rows, sum)
 		}
-		for bit, st := range fd.bits {
-			if st.catastrophic > st.trials {
-				t.Fatalf("bit %d: accepted %d catastrophic of %d trials", bit, st.catastrophic, st.trials)
+		var trials uint64
+		for i, a := range fd.aggs {
+			if a.Catastrophic > a.Trials || a.Bit >= maxFooterBits || (i > 0 && a.Bit <= fd.aggs[i-1].Bit) {
+				t.Fatalf("accepted malformed aggregate %d: %+v", i, a)
 			}
+			trials += uint64(a.Trials)
+		}
+		if trials != fd.rows {
+			t.Fatalf("accepted aggregates of %d trials over %d rows", trials, fd.rows)
+		}
+		// One encoding per footer: what parses re-encodes to the same
+		// bytes, which is what lets Verify compare entries as bytes.
+		if again := appendFooter(nil, fd.headCRC, fd.blocks, fd.rows, fd.aggs); !bytes.Equal(again, frame) {
+			t.Fatalf("accepted footer re-encodes differently:\n got %x\nwant %x", again, frame)
 		}
 	})
 }

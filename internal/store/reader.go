@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -117,16 +118,16 @@ func (r *Reader) Rows() uint64 { return r.fd.rows }
 // Blocks returns the number of columnar blocks (one per shard).
 func (r *Reader) Blocks() int { return len(r.fd.blocks) }
 
-// BitAggs finalizes the footer's aggregates into core.BitAggs sorted
-// by bit — O(bits), no trial rescan. Counts, means, maxima, geometric
-// means and field shares match core.AggregateByBit over the same
-// trials exactly (below stats' parallel threshold); medians are
-// sketch estimates within SketchAlpha.
-func (r *Reader) BitAggs() []core.BitAgg { return finalizeBits(r.fd.bits) }
+// BitAggs returns the footer's aggregates sorted by bit — O(bits), no
+// trial rescan. Each is core.AggregateByBit over the bit's trials, bit
+// for bit, medians included (Verify checks this against the blocks).
+// The FieldShare maps are the reader's own; callers must not modify
+// them.
+func (r *Reader) BitAggs() []core.BitAgg { return append([]core.BitAgg(nil), r.fd.aggs...) }
 
 // Doc builds the sealed aggregate document from the footer.
 func (r *Reader) Doc() *AggregateDoc {
-	return newDoc(r.field, r.codec, true, finalizeBits(r.fd.bits))
+	return newDoc(r.field, r.codec, true, r.fd.aggs)
 }
 
 // bitOrder returns the block index sorted by ascending BitLo — the
@@ -209,9 +210,16 @@ func (r *Reader) Trials() ([]core.Trial, error) {
 }
 
 // Verify decodes every block, checking each CRC and every structural
-// invariant — the deep-scan behind positstore's verify command. The
-// footer was already verified at Open.
+// invariant, and recomputes each block's per-bit aggregates with
+// core.AggregateByBit: every footer entry must equal its bit's
+// recomputed aggregate exactly, and every block bit must have one.
+// It is the deep-scan behind positstore's verify command; Open
+// already checked the footer's own CRC and bounds.
 func (r *Reader) Verify() error {
+	footer := make(map[int][]byte, len(r.fd.aggs))
+	for i := range r.fd.aggs {
+		footer[r.fd.aggs[i].Bit] = appendBitAgg(nil, &r.fd.aggs[i])
+	}
 	var raw []byte
 	var trials []core.Trial
 	var err error
@@ -221,6 +229,16 @@ func (r *Reader) Verify() error {
 		if err != nil {
 			return err
 		}
+		for _, a := range core.AggregateByBit(trials) {
+			want, ok := footer[a.Bit]
+			if !ok || !bytes.Equal(appendBitAgg(nil, &a), want) {
+				return fmt.Errorf("%w: bit %d: footer aggregate differs from the block at offset %d", ErrCorrupt, a.Bit, b.Offset)
+			}
+			delete(footer, a.Bit) // a second block with this bit fails above
+		}
+	}
+	if len(footer) > 0 {
+		return fmt.Errorf("%w: footer aggregates %d bits no block holds", ErrCorrupt, len(footer))
 	}
 	return nil
 }

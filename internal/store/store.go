@@ -4,12 +4,12 @@
 // trial of one (field, codec) pair as one block per shard (varints for
 // the integer columns, raw little-endian float64 bit patterns for the
 // value columns), followed by a CRC-guarded footer that indexes the
-// blocks and carries the campaign's online aggregates: count, mean,
-// max and a mergeable quantile sketch per (field, bit), folded in at
-// append time so a summary is O(fields×bits) regardless of trial
-// count. The same block bytes travel on the positserve shard hop and
-// fill the runner's journal records (AppendBlock, DecodeBlock,
-// ReadBlock). docs/STORE.md is the normative format specification.
+// blocks and carries each bit's core.AggregateByBit result, computed
+// once per shard at append time (a bit's trials all arrive in one
+// shard), so a summary is O(bits) regardless of trial count. The same
+// block bytes travel on the positserve shard hop and fill the runner's
+// journal records (AppendBlock, DecodeBlock, ReadBlock).
+// docs/STORE.md is the normative format specification.
 //
 // The write path goes through internal/atomicio's PendingFile: blocks
 // stream to a temporary file for the life of the campaign and the
@@ -21,10 +21,8 @@
 // Reading back is lossless by construction: every float column stores
 // the exact bit pattern, so RenderCSV reproduces core.WriteTrialsCSV
 // byte for byte (pinned by test), and the per-bit aggregates off the
-// footer match core.AggregateByBit exactly for count, mean, max,
-// geometric mean and field shares (medians are sketch-approximate
-// within SketchAlpha relative accuracy; means reassociate above
-// internal/stats' parallel threshold).
+// footer are core.AggregateByBit over the same trials, bit for bit,
+// exact medians included (Reader.Verify recomputes them).
 package store
 
 import (
@@ -39,7 +37,7 @@ import (
 // rejects every other value with ErrVersion — compatibility is
 // all-or-nothing per file (docs/STORE.md, "Compatibility policy"): a
 // reader never guesses at a layout.
-const Version = 1
+const Version = 2
 
 // The four magics that structure a .pts file. Each spells its role so
 // a hex dump is self-describing and a mis-routed payload fails fast.

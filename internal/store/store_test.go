@@ -3,12 +3,12 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 
@@ -173,11 +173,11 @@ func TestRenderCSVByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBitAggsMatchSlicePath pins the online aggregation against
-// core.AggregateByBit: counts, means, maxima, geometric means and
-// field shares must agree exactly (the fold replays the same serial
-// arithmetic); the sketch medians must land within the sketch's
-// relative accuracy of the exact medians.
+// TestBitAggsMatchSlicePath pins the footer against
+// core.AggregateByBit over the same trials: every field, medians and
+// field shares included, bit for bit — the footer persists that fold's
+// result, so a summary read back from a store is the one computed from
+// the trials.
 func TestBitAggsMatchSlicePath(t *testing.T) {
 	trials := genTrials(t, "CESM/CLOUD", "posit16", 400, 9, 0, 16)
 	path := filepath.Join(t.TempDir(), FileName("CESM/CLOUD", "posit16"))
@@ -187,60 +187,7 @@ func TestBitAggsMatchSlicePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-
-	want := core.AggregateByBit(trials)
-	got := r.BitAggs()
-	if len(got) != len(want) {
-		t.Fatalf("%d bit aggregates, want %d", len(got), len(want))
-	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.Bit != w.Bit || g.Trials != w.Trials || g.Catastrophic != w.Catastrophic {
-			t.Fatalf("bit %d: counts (%d, %d, %d), want (%d, %d, %d)",
-				w.Bit, g.Bit, g.Trials, g.Catastrophic, w.Bit, w.Trials, w.Catastrophic)
-		}
-		mustSameFloat(t, w.Bit, "MeanRelErr", g.MeanRelErr, w.MeanRelErr)
-		mustSameFloat(t, w.Bit, "MaxRelErr", g.MaxRelErr, w.MaxRelErr)
-		mustSameFloat(t, w.Bit, "GeoRelErr", g.GeoRelErr, w.GeoRelErr)
-		mustSameFloat(t, w.Bit, "MeanAbsErr", g.MeanAbsErr, w.MeanAbsErr)
-		mustSameFloat(t, w.Bit, "MaxAbsErr", g.MaxAbsErr, w.MaxAbsErr)
-		if len(g.FieldShare) != len(w.FieldShare) {
-			t.Fatalf("bit %d: %d field shares, want %d", w.Bit, len(g.FieldShare), len(w.FieldShare))
-		}
-		for name, share := range w.FieldShare {
-			mustSameFloat(t, w.Bit, "FieldShare["+name+"]", g.FieldShare[name], share)
-		}
-		// Medians: the sketch's guarantee is relative accuracy against
-		// the order statistic at rank ⌊q·(n−1)⌋, not the interpolated
-		// stats.Median the slice path reports. Compare against the
-		// exact same-rank value so the bound is sound even when the
-		// two middle errors sit decades apart.
-		var rels, abss []float64
-		for i := range trials {
-			if trials[i].Bit == w.Bit && !trials[i].Catastrophic {
-				rels = append(rels, trials[i].RelErr)
-				abss = append(abss, trials[i].AbsErr)
-			}
-		}
-		mustWithinRelative(t, w.Bit, "MedianRelErr", g.MedianRelErr, exactRank(rels, 0.5))
-		mustWithinRelative(t, w.Bit, "MedianAbsErr", g.MedianAbsErr, exactRank(abss, 0.5))
-	}
-}
-
-// exactRank returns the finite order statistic at the sketch's rank
-// convention, rank = ⌊q·(n−1)⌋ over ascending finite values.
-func exactRank(data []float64, q float64) float64 {
-	finite := make([]float64, 0, len(data))
-	for _, x := range data {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			finite = append(finite, x)
-		}
-	}
-	if len(finite) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(finite)
-	return finite[int(q*float64(len(finite)-1))]
+	mustSameAggs(t, r.BitAggs(), core.AggregateByBit(trials))
 }
 
 // mustSameFloat asserts bit-pattern equality (NaN-safe).
@@ -251,20 +198,32 @@ func mustSameFloat(t *testing.T, bit int, what string, got, want float64) {
 	}
 }
 
-// mustWithinRelative asserts the sketch estimate lands within the
-// sketch accuracy of the exact same-rank value (a hair of slack for
-// the float log/exp round trip). NaN must match NaN; exact zeros must
-// hit the zero bucket exactly.
-func mustWithinRelative(t *testing.T, bit int, what string, got, want float64) {
+// mustSameAggs asserts got equals want on every BitAgg field, floats
+// by bit pattern.
+func mustSameAggs(t *testing.T, got, want []core.BitAgg) {
 	t.Helper()
-	if math.IsNaN(want) {
-		if !math.IsNaN(got) {
-			t.Fatalf("bit %d: %s = %v, want NaN", bit, what, got)
-		}
-		return
+	if len(got) != len(want) {
+		t.Fatalf("%d bit aggregates, want %d", len(got), len(want))
 	}
-	if math.Abs(got-want) > 1.001*SketchAlpha*math.Abs(want) {
-		t.Fatalf("bit %d: %s = %v, want %v within %.0f%%", bit, what, got, want, 100*SketchAlpha)
+	for i, w := range want {
+		g := got[i]
+		if g.Bit != w.Bit || g.Trials != w.Trials || g.Catastrophic != w.Catastrophic {
+			t.Fatalf("bit %d: counts (%d, %d, %d), want (%d, %d, %d)",
+				w.Bit, g.Bit, g.Trials, g.Catastrophic, w.Bit, w.Trials, w.Catastrophic)
+		}
+		mustSameFloat(t, w.Bit, "MeanRelErr", g.MeanRelErr, w.MeanRelErr)
+		mustSameFloat(t, w.Bit, "MedianRelErr", g.MedianRelErr, w.MedianRelErr)
+		mustSameFloat(t, w.Bit, "GeoRelErr", g.GeoRelErr, w.GeoRelErr)
+		mustSameFloat(t, w.Bit, "MaxRelErr", g.MaxRelErr, w.MaxRelErr)
+		mustSameFloat(t, w.Bit, "MeanAbsErr", g.MeanAbsErr, w.MeanAbsErr)
+		mustSameFloat(t, w.Bit, "MedianAbsErr", g.MedianAbsErr, w.MedianAbsErr)
+		mustSameFloat(t, w.Bit, "MaxAbsErr", g.MaxAbsErr, w.MaxAbsErr)
+		if len(g.FieldShare) != len(w.FieldShare) {
+			t.Fatalf("bit %d: %d field shares, want %d", w.Bit, len(g.FieldShare), len(w.FieldShare))
+		}
+		for name, share := range w.FieldShare {
+			mustSameFloat(t, w.Bit, "FieldShare["+name+"]", g.FieldShare[name], share)
+		}
 	}
 }
 
@@ -399,7 +358,7 @@ func TestCampaignWriter(t *testing.T) {
 
 // TestDocJSONRoundTrip pins the positres-aggregate/v1 document: NaN
 // and Inf survive, the schema gate refuses other tags, and BitAggs
-// reconstructs the core shape.
+// reconstructs core.AggregateByBit's result bit for bit.
 func TestDocJSONRoundTrip(t *testing.T) {
 	trials := genTrials(t, "CESM/CLOUD", "posit16", 200, 3, 0, 16)
 	path := filepath.Join(t.TempDir(), "x.pts")
@@ -419,15 +378,7 @@ func TestDocJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAggs := r.BitAggs()
-	gotAggs := back.BitAggs()
-	if len(gotAggs) != len(wantAggs) {
-		t.Fatalf("%d aggs after round trip, want %d", len(gotAggs), len(wantAggs))
-	}
-	for i := range wantAggs {
-		mustSameFloat(t, wantAggs[i].Bit, "MeanRelErr", gotAggs[i].MeanRelErr, wantAggs[i].MeanRelErr)
-		mustSameFloat(t, wantAggs[i].Bit, "MaxAbsErr", gotAggs[i].MaxAbsErr, wantAggs[i].MaxAbsErr)
-	}
+	mustSameAggs(t, back.BitAggs(), core.AggregateByBit(trials))
 
 	bad := bytes.NewBufferString(`{"schema": "positres-aggregate/v2"}`)
 	if _, err := ReadDoc(bad); err == nil {
@@ -467,6 +418,91 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		if verr == nil {
 			t.Errorf("corruption at offset %d went undetected", off)
 		}
+	}
+}
+
+// TestFooterAggregatesChecked re-seals a store's footer with edited
+// aggregates and a recomputed CRC. Entries out of bit order or whose
+// counts cannot add up fail Open; a well-formed entry that differs
+// from its block's recomputed aggregate opens but fails Verify.
+func TestFooterAggregatesChecked(t *testing.T) {
+	trials := genTrials(t, "CESM/CLOUD", "posit16", 200, 3, 0, 16)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.pts")
+	writeStore(t, path, "CESM/CLOUD", "posit16", trials, 0, 16, 8)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, dataEnd := r.fd, r.dataEnd
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// reseal writes orig with its footer rebuilt from edit's aggregates.
+	reseal := func(edit func(a []core.BitAgg) []core.BitAgg) string {
+		frame := appendFooter(nil, fd.headCRC, fd.blocks, fd.rows, edit(append([]core.BitAgg(nil), fd.aggs...)))
+		buf := append(append([]byte(nil), orig[:dataEnd]...), frame...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frame)))
+		p := filepath.Join(dir, "edited.pts")
+		if err := os.WriteFile(p, append(buf, endMagic...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// withShare returns a's field shares with name's share replaced.
+	withShare := func(a core.BitAgg, name string, v float64) map[string]float64 {
+		m := map[string]float64{name: v}
+		for k, x := range a.FieldShare {
+			if k != name {
+				m[k] = x
+			}
+		}
+		return m
+	}
+	cases := []struct {
+		name       string
+		edit       func(a []core.BitAgg) []core.BitAgg
+		openFails  bool
+		verifyFail bool
+	}{
+		{"unchanged", func(a []core.BitAgg) []core.BitAgg { return a }, false, false},
+		{"bits out of order", func(a []core.BitAgg) []core.BitAgg { a[0], a[1] = a[1], a[0]; return a }, true, false},
+		{"duplicate bit", func(a []core.BitAgg) []core.BitAgg { a[1].Bit = a[0].Bit; return a }, true, false},
+		{"bit past the bound", func(a []core.BitAgg) []core.BitAgg { a[len(a)-1].Bit = maxFooterBits; return a }, true, false},
+		{"catastrophic over trials", func(a []core.BitAgg) []core.BitAgg { a[2].Catastrophic = a[2].Trials + 1; return a }, true, false},
+		{"trials off the row total", func(a []core.BitAgg) []core.BitAgg { a[3].Trials++; return a }, true, false},
+		{"median one ulp off", func(a []core.BitAgg) []core.BitAgg {
+			a[12].MedianRelErr = math.Nextafter(a[12].MedianRelErr, math.Inf(1))
+			return a
+		}, false, true},
+		{"field share changed", func(a []core.BitAgg) []core.BitAgg {
+			a[15].FieldShare = withShare(a[15], "sign", 0.5)
+			return a
+		}, false, true},
+		{"trials moved between bits", func(a []core.BitAgg) []core.BitAgg { a[4].Trials++; a[5].Trials--; return a }, false, true},
+		{"bit renumbered", func(a []core.BitAgg) []core.BitAgg { a[len(a)-1].Bit++; return a }, false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := Open(reseal(tc.edit))
+			if tc.openFails {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Open: %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer r.Close()
+			if err := r.Verify(); tc.verifyFail != errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Verify: %v, want ErrCorrupt: %v", err, tc.verifyFail)
+			}
+		})
 	}
 }
 
@@ -597,28 +633,6 @@ func TestConcurrentAppendsMatchSerial(t *testing.T) {
 	if !bytes.Equal(gotCSV, wantCSV) {
 		t.Fatalf("concurrent store renders %d bytes, serial %d; contents differ", len(gotCSV), len(wantCSV))
 	}
-	for _, got := range [][]core.BitAgg{live, gotAggs} {
-		if len(got) != len(wantAggs) {
-			t.Fatalf("%d bit aggregates, want %d", len(got), len(wantAggs))
-		}
-		for i, want := range wantAggs {
-			g := got[i]
-			if g.Bit != want.Bit || g.Trials != want.Trials || g.Catastrophic != want.Catastrophic {
-				t.Fatalf("bit %d: counts %+v, want %+v", want.Bit, g, want)
-			}
-			mustSameFloat(t, want.Bit, "MeanRelErr", g.MeanRelErr, want.MeanRelErr)
-			mustSameFloat(t, want.Bit, "MedianRelErr", g.MedianRelErr, want.MedianRelErr)
-			mustSameFloat(t, want.Bit, "GeoRelErr", g.GeoRelErr, want.GeoRelErr)
-			mustSameFloat(t, want.Bit, "MaxRelErr", g.MaxRelErr, want.MaxRelErr)
-			mustSameFloat(t, want.Bit, "MeanAbsErr", g.MeanAbsErr, want.MeanAbsErr)
-			mustSameFloat(t, want.Bit, "MedianAbsErr", g.MedianAbsErr, want.MedianAbsErr)
-			mustSameFloat(t, want.Bit, "MaxAbsErr", g.MaxAbsErr, want.MaxAbsErr)
-			if len(g.FieldShare) != len(want.FieldShare) {
-				t.Fatalf("bit %d: %d field shares, want %d", want.Bit, len(g.FieldShare), len(want.FieldShare))
-			}
-			for name, share := range want.FieldShare {
-				mustSameFloat(t, want.Bit, "FieldShare["+name+"]", g.FieldShare[name], share)
-			}
-		}
-	}
+	mustSameAggs(t, live, wantAggs)
+	mustSameAggs(t, gotAggs, wantAggs)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sort"
 	"sync"
 
 	"positres/internal/atomicio"
@@ -23,12 +24,12 @@ type blockInfo struct {
 
 // Writer builds one .pts file: a header, one columnar block per
 // appended shard, and at Seal a footer indexing the blocks and
-// carrying the online aggregates. All bytes stream through an
-// atomicio.PendingFile, so the final path appears only on a
+// carrying each bit's core.AggregateByBit result. All bytes stream
+// through an atomicio.PendingFile, so the final path appears only on a
 // successful Seal; Abort (or a crash) leaves at most a temp file.
-// Writer is safe for concurrent use: appends encode and fold their
-// own shard in parallel, and the lock orders only the file writes,
-// the block index and the per-bit states.
+// Writer is safe for concurrent use: appends encode and aggregate
+// their own shard in parallel, and the lock orders only the file
+// writes, the block index and the per-bit aggregates.
 type Writer struct {
 	mu      sync.Mutex
 	pf      *atomicio.PendingFile
@@ -37,7 +38,7 @@ type Writer struct {
 	codec   string
 	headCRC uint32 // CRC-32 of the header bytes, sealed into the footer
 	blocks  []blockInfo
-	bits    map[int]*bitState
+	aggs    []core.BitAgg // ascending by bit
 	rows    uint64
 	done    bool  // sealed or aborted
 	err     error // first write failure; sticky, forces Abort
@@ -63,7 +64,6 @@ func NewWriter(path, field, codec string) (*Writer, error) {
 		path:  path,
 		field: field,
 		codec: codec,
-		bits:  map[int]*bitState{},
 	}
 	hdr := append([]byte(fileMagic), Version)
 	hdr = appendString(hdr, field)
@@ -90,10 +90,10 @@ func (w *Writer) Rows() uint64 {
 }
 
 // AppendShard encodes one shard's trials as a block (AppendBlock) and
-// folds them into fresh per-bit aggregates, both before taking the
+// aggregates them with core.AggregateByBit, both before taking the
 // writer's lock, so appends of different shards run in parallel; the
 // lock covers only the file write, the block index and installing the
-// states. Every trial must carry the writer's (field, codec) and a bit
+// aggregates. Every trial must carry the writer's (field, codec) and a bit
 // within [bitLo, bitHi), and the range must not overlap a shard
 // already appended: each bit's rows come from exactly one shard. A
 // shard that violates this is refused with ErrCorrupt before any byte
@@ -107,16 +107,7 @@ func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 	if err != nil {
 		return err // encoding rejected the input; the file is still clean
 	}
-	states := map[int]*bitState{}
-	for i := range trials {
-		tr := &trials[i]
-		st := states[tr.Bit]
-		if st == nil {
-			st = newBitState()
-			states[tr.Bit] = st
-		}
-		st.fold(tr)
-	}
+	aggs := core.AggregateByBit(trials)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -148,19 +139,20 @@ func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 		BitLo:  bitLo,
 		BitHi:  bitHi,
 	})
-	for bit, st := range states {
-		w.bits[bit] = st
-	}
+	w.aggs = append(w.aggs, aggs...)
+	sort.Slice(w.aggs, func(i, j int) bool { return w.aggs[i].Bit < w.aggs[j].Bit })
 	w.rows += uint64(len(trials))
 	return nil
 }
 
 // BitAggs snapshots the live per-bit aggregates, sorted by bit — the
 // mid-campaign view /metrics serves. O(bits), never rescans trials.
+// The FieldShare maps are the writer's own; callers must not modify
+// them.
 func (w *Writer) BitAggs() []core.BitAgg {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return finalizeBits(w.bits)
+	return append([]core.BitAgg(nil), w.aggs...)
 }
 
 // Doc snapshots the live aggregates as an unsealed aggregate
@@ -168,7 +160,7 @@ func (w *Writer) BitAggs() []core.BitAgg {
 func (w *Writer) Doc() *AggregateDoc {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return newDoc(w.field, w.codec, false, finalizeBits(w.bits))
+	return newDoc(w.field, w.codec, false, w.aggs)
 }
 
 // Seal writes the footer (block index + aggregates), the locating
@@ -186,7 +178,7 @@ func (w *Writer) Seal() error {
 		return w.err
 	}
 	w.done = true
-	buf := appendFooter(nil, w.headCRC, w.blocks, w.rows, w.bits)
+	buf := appendFooter(nil, w.headCRC, w.blocks, w.rows, w.aggs)
 	// Trailer: the footer frame's byte span plus the end magic, so a
 	// reader finds the footer by seeking 8 bytes from EOF.
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(buf)))

@@ -262,11 +262,11 @@ var (
 // The columnar trial store and its aggregate documents: the durable,
 // bounded-memory representation of campaign results (docs/STORE.md).
 // A store renders its rows as CSV byte-identical to WriteTrialsCSV
-// and carries O(fields×bits) online aggregates in its footer, which
+// and carries each bit's AggregateByBit result in its footer, which
 // is also what the results API serves as positres-aggregate/v1 JSON.
 type (
 	// TrialStoreWriter appends trial shards to one .pts column store,
-	// folding every row into the footer aggregates as it goes.
+	// aggregating each shard's bits for the footer as it goes.
 	TrialStoreWriter = store.Writer
 	// TrialStoreReader reads a sealed .pts store: rows (as CSV),
 	// blocks, and the footer aggregates — without loading trials.
