@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"positres/internal/stats"
 )
@@ -14,7 +15,7 @@ type BitAgg struct {
 	Bit    int // bit position, 0 = LSB
 	Trials int // trials aggregated at this position
 	// Catastrophic counts flips whose faulty value decoded to
-	// NaN/Inf/NaR (or whose original was zero).
+	// NaN/Inf/NaR or turned a zero original nonzero (Trial.Catastrophic).
 	Catastrophic int
 
 	// MeanRelErr and the following aggregates summarize the
@@ -39,7 +40,9 @@ type BitAgg struct {
 // Means and maxima fold serially, so results do not depend on
 // GOMAXPROCS; medians are exact.
 func AggregateByBit(trials []Trial) []BitAgg {
-	folds := foldBy(trials, func(tr *Trial) int { return tr.Bit })
+	scratch := errBufs.Get().(*[]float64)
+	defer errBufs.Put(scratch)
+	folds := foldBy(trials, func(tr *Trial) int { return tr.Bit }, scratch)
 	out := make([]BitAgg, 0, len(folds))
 	for bit, f := range folds {
 		out = append(out, f.agg(bit))
@@ -48,10 +51,16 @@ func AggregateByBit(trials []Trial) []BitAgg {
 	return out
 }
 
-// aggFold accumulates one group of trials in a single pass without
-// copying them: counts and field tallies over every trial; moments and
-// the errors themselves (for the geometric mean and the exact medians)
-// over the non-catastrophic ones.
+// errBufs recycles the error scratch of the fold: every store append
+// aggregates its shard, and a fresh copy of each shard's errors would
+// set the GC pace of a whole campaign. A BitAgg holds no slice, so no
+// result aliases the scratch after it returns to the pool.
+var errBufs = sync.Pool{New: func() any { return new([]float64) }}
+
+// aggFold accumulates one group of trials without copying them:
+// counts and field tallies over every trial; moments and the errors
+// themselves (for the geometric mean and the exact medians) over the
+// non-catastrophic ones.
 type aggFold struct {
 	trials, catastrophic int
 	fields               map[string]int
@@ -59,40 +68,59 @@ type aggFold struct {
 	rels, abss           []float64
 }
 
-// foldBy folds trials into one aggFold per key. Trials usually arrive
-// in runs of one key (a shard is bit-major), so each run costs one map
-// lookup and one right-sized growth of its fold's error slices: every
-// store append aggregates its shard, and garbage here sets the GC pace
-// of a whole campaign.
-func foldBy[K comparable](trials []Trial, key func(*Trial) K) map[K]*aggFold {
+// foldBy folds trials into one aggFold per key in two passes over runs
+// of one key; a shard is bit-major, so a run is usually a whole bit
+// and costs one map lookup per pass. The first pass counts; each
+// fold's error slices are then carved out of *scratch (grown if
+// needed) at their exact size, and the second pass fills them in trial
+// order. The folds alias *scratch until they are finalized.
+func foldBy[K comparable](trials []Trial, key func(*Trial) K, scratch *[]float64) map[K]*aggFold {
 	folds := map[K]*aggFold{}
 	for i := 0; i < len(trials); {
 		k := key(&trials[i])
-		end := i + 1
-		for end < len(trials) && key(&trials[end]) == k {
-			end++
-		}
 		f := folds[k]
 		if f == nil {
 			f = &aggFold{fields: map[string]int{}, rel: stats.NewMoments(), abs: stats.NewMoments()}
 			folds[k] = f
 		}
-		f.rels = slices.Grow(f.rels, end-i)
-		f.abss = slices.Grow(f.abss, end-i)
-		for ; i < end; i++ {
-			f.add(&trials[i])
+		for ; i < len(trials) && key(&trials[i]) == k; i++ {
+			f.count(&trials[i])
+		}
+	}
+	n := 0
+	for _, f := range folds {
+		n += f.trials - f.catastrophic
+	}
+	buf := slices.Grow((*scratch)[:0], 2*n)[:2*n]
+	*scratch = buf[:0]
+	for _, f := range folds {
+		m := f.trials - f.catastrophic
+		f.rels, f.abss, buf = buf[:0:m], buf[m:m:2*m], buf[2*m:]
+	}
+	for i := 0; i < len(trials); {
+		k := key(&trials[i])
+		f := folds[k]
+		for ; i < len(trials) && key(&trials[i]) == k; i++ {
+			f.measure(&trials[i])
 		}
 	}
 	return folds
 }
 
-// add folds one trial in: every trial counts toward the field
-// attribution, only non-catastrophic ones toward the error statistics.
-func (f *aggFold) add(tr *Trial) {
+// count tallies one trial: every trial counts toward the field
+// attribution, and catastrophic ones are set apart.
+func (f *aggFold) count(tr *Trial) {
 	f.trials++
 	f.fields[tr.FieldName]++
 	if tr.Catastrophic {
 		f.catastrophic++
+	}
+}
+
+// measure folds one trial's errors in; only non-catastrophic trials
+// count toward the error statistics.
+func (f *aggFold) measure(tr *Trial) {
+	if tr.Catastrophic {
 		return
 	}
 	f.rel.Add(tr.RelErr)
@@ -213,7 +241,9 @@ func SignBoxes(trials []Trial, width int) []struct {
 // summarizes each group with the same fold as AggregateByBit — the
 // paper's §5 narrative (regime vs exponent vs fraction vs sign).
 func FieldErrorSummary(trials []Trial) map[string]BitAgg {
-	folds := foldBy(trials, func(tr *Trial) string { return tr.FieldName })
+	scratch := errBufs.Get().(*[]float64)
+	defer errBufs.Put(scratch)
+	folds := foldBy(trials, func(tr *Trial) string { return tr.FieldName }, scratch)
 	out := make(map[string]BitAgg, len(folds))
 	for name, f := range folds {
 		out[name] = f.agg(-1)

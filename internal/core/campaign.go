@@ -107,9 +107,15 @@ type Trial struct {
 	FieldName string // field owning the flipped bit: sign/regime/exponent/fraction
 	RegimeK   int    // posit regime run length of OrigBits (0 for IEEE formats)
 
-	AbsErr       float64 // |FaultyVal - ReprValue|
-	RelErr       float64 // AbsErr / |ReprValue|
-	Catastrophic bool    // faulty value decoded to NaN/Inf/NaR (or orig was 0)
+	// The errors measure FaultyVal against the original data value
+	// (qcat.Point), not against ReprValue, so they include the
+	// format's rounding of the original.
+	AbsErr float64 // |OrigValue - FaultyVal|; +Inf if FaultyVal is NaN/Inf/NaR
+	RelErr float64 // AbsErr / |OrigValue|; 0 if both are 0; +Inf if Catastrophic
+	// Catastrophic marks a faulty value that decoded to NaN/Inf/NaR,
+	// or a zero original that the flip made nonzero (a flip to -0 is
+	// not catastrophic).
+	Catastrophic bool
 }
 
 // Result is a completed campaign over one (field, codec) pair.
@@ -160,9 +166,11 @@ func RunRange(ctx context.Context, cfg Config, codec numfmt.Codec, fieldKey stri
 // RunRangeInto is RunRange with a caller-supplied result buffer: when
 // buf has capacity for every trial of the range it is resliced and
 // filled in place (the returned slice aliases it); otherwise a fresh
-// slice is allocated exactly as RunRange would. Threading one buffer
-// through repeated calls — the runner's retry loop, positbench's
-// steady-state measurement — makes the campaign loop allocation-free:
+// slice is allocated exactly as RunRange would. Every field of every
+// trial is overwritten, so buf may hold any earlier shard, of any
+// format. Threading one buffer through repeated calls — each runner
+// shard worker's slab, positbench's steady-state measurement — makes
+// the campaign loop allocation-free:
 // with Workers == 1 the range runs serially on the calling goroutine,
 // with no channel, no pool and no per-trial allocations (the PRNG
 // keying is stack-only; BENCH_PR9.json pins 0 allocs/op).
@@ -294,6 +302,8 @@ func runBit(cfg Config, codec numfmt.Codec, fieldKey string, data []float64, bit
 		tr.FieldName = codec.FieldAt(tr.OrigBits, bit)
 		if hasRegime {
 			tr.RegimeK = sizer.RegimeK(tr.OrigBits)
+		} else {
+			tr.RegimeK = 0 // a reused buffer may still hold a posit shard's regime sizes
 		}
 
 		p := qcat.Point(orig, tr.FaultyVal)

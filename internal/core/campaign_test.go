@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -318,6 +319,46 @@ func TestFieldErrorSummary(t *testing.T) {
 	if sum["regime"].MeanRelErr != 15 || sum["fraction"].MeanRelErr != 0.1 {
 		t.Errorf("field summary: %+v", sum)
 	}
+
+	// A posit campaign's field names interleave trial by trial, so each
+	// field's errors arrive in many short runs; the fold must give what
+	// it gives over that field's trials alone.
+	data := testData(t, "Nyx/temperature", 4000)
+	r, err := Run(context.Background(), smallCfg(), mustCodec(t, "posit16"), "Nyx/temperature", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum = FieldErrorSummary(r.Trials)
+	if len(sum) < 3 {
+		t.Fatalf("posit16 summary has %d fields, want sign/regime/exponent/fraction", len(sum))
+	}
+	for name, got := range sum {
+		alone := FieldErrorSummary(Filter(r.Trials, func(tr Trial) bool { return tr.FieldName == name }))
+		if g, w := fmt.Sprint(got), fmt.Sprint(alone[name]); g != w {
+			t.Fatalf("%s: interleaved fold %s, alone %s", name, g, w)
+		}
+	}
+}
+
+// TestAggregateByBitAllocs pins the fold's pooled scratch: each bit's
+// errors are gathered into a buffer drawn from a pool, so a steady-state
+// call allocates only per-bit bookkeeping (its fold, field tallies and
+// FieldShare map) plus the result, the fold map and the sort — not a
+// copy of every trial's errors. Eight bits cost 46 allocations; with
+// fresh per-bit error slices they cost 62.
+func TestAggregateByBitAllocs(t *testing.T) {
+	data := testData(t, "Hurricane/Uf30", 20000)
+	cfg := smallCfg()
+	cfg.TrialsPerBit = 1024
+	trials, err := RunRange(context.Background(), cfg, mustCodec(t, "posit32"), "Hurricane/Uf30", data, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bits, maxPerBit = 8, 6
+	allocs := testing.AllocsPerRun(20, func() { AggregateByBit(trials) })
+	if allocs > bits*maxPerBit {
+		t.Fatalf("AggregateByBit over %d bits allocates %.1f per call, want <= %d", bits, allocs, bits*maxPerBit)
+	}
 }
 
 // TestCSVRoundTrip: write → read reproduces the trials exactly.
@@ -596,6 +637,101 @@ func TestRunRangeIntoReusesBuffer(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fresh, got3) {
 		t.Fatal("pooled buffered run differs from serial run")
+	}
+}
+
+// TestRunRangeIntoOverwritesBuffer: every field of a reused buffer is
+// rewritten, whatever it held. The runner refills one slab per worker
+// with shards of any format, so a field an earlier shard left behind
+// (a posit regime size on an IEEE trial) would leak into the results.
+// CSV bytes cover every column and compare NaN, which
+// reflect.DeepEqual cannot.
+func TestRunRangeIntoOverwritesBuffer(t *testing.T) {
+	data := testData(t, "Hurricane/Uf30", 20000)
+	cfg := smallCfg()
+	cfg.Workers = 1
+	for _, name := range []string{"posit32", "ieee32"} {
+		codec := mustCodec(t, name)
+		fresh, err := RunRange(context.Background(), cfg, codec, "Hurricane/Uf30", data, 0, codec.Width())
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]Trial, len(fresh))
+		for i := range buf {
+			buf[i] = Trial{Field: "stale", Codec: "stale", Bit: -1, Seq: -1, Index: -1,
+				OrigValue: math.NaN(), ReprValue: math.Inf(1), OrigBits: math.MaxUint64,
+				FaultyBits: math.MaxUint64, FaultyVal: math.Inf(-1), FieldName: "stale",
+				RegimeK: 99, AbsErr: -1, RelErr: -1, Catastrophic: !fresh[i].Catastrophic}
+		}
+		got, err := RunRangeInto(context.Background(), cfg, codec, "Hurricane/Uf30", data, 0, codec.Width(), buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, have bytes.Buffer
+		if err := WriteTrialsCSV(&want, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteTrialsCSV(&have, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(have.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: refilled buffer renders differently from a fresh run", name)
+		}
+	}
+}
+
+// TestTrialErrorsAgainstOriginal pins the error definitions Trial's doc
+// states: AbsErr and RelErr measure FaultyVal against OrigValue, not
+// against the rounded ReprValue, and a zero original is catastrophic
+// only when the flip makes it nonzero. posit8 rounds almost every
+// float32 value, so the two references differ.
+func TestTrialErrorsAgainstOriginal(t *testing.T) {
+	data := testData(t, "Hurricane/Uf30", 2000)
+	codec := mustCodec(t, "posit8")
+	trials, err := RunRange(context.Background(), smallCfg(), codec, "Hurricane/Uf30", data, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounded := 0
+	for _, tr := range trials {
+		if tr.ReprValue == tr.OrigValue || tr.Catastrophic || tr.OrigValue == 0 {
+			continue
+		}
+		rounded++
+		abs := math.Abs(tr.OrigValue - tr.FaultyVal)
+		if tr.AbsErr != abs || tr.RelErr != abs/math.Abs(tr.OrigValue) {
+			t.Fatalf("errors not measured against OrigValue: %+v", tr)
+		}
+		if repr := math.Abs(tr.FaultyVal - tr.ReprValue); tr.AbsErr == repr {
+			t.Fatalf("AbsErr equals |FaultyVal - ReprValue| %v for a rounded original: %+v", repr, tr)
+		}
+	}
+	if rounded == 0 {
+		t.Fatal("no posit8 trial with ReprValue != OrigValue")
+	}
+
+	// A zero original: every posit8 flip of 0 is nonzero or NaR, while
+	// the ieee32 sign flip gives -0, which is no error at all.
+	cfg := smallCfg()
+	cfg.SkipZeros = false
+	for _, name := range []string{"posit8", "ieee32"} {
+		c := mustCodec(t, name)
+		zeros, err := RunRange(context.Background(), cfg, c, "zero", []float64{0}, 0, c.Width())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range zeros {
+			signFlip := name == "ieee32" && tr.Bit == c.Width()-1
+			if tr.Catastrophic == signFlip {
+				t.Fatalf("%s bit %d of 0 -> %v: catastrophic %v", name, tr.Bit, tr.FaultyVal, tr.Catastrophic)
+			}
+			if signFlip && (tr.AbsErr != 0 || tr.RelErr != 0) {
+				t.Fatalf("ieee32 0 -> -0 errors %v/%v, want 0/0", tr.AbsErr, tr.RelErr)
+			}
+			if !signFlip && !math.IsInf(tr.RelErr, 1) {
+				t.Fatalf("%s bit %d of 0: RelErr %v, want +Inf", name, tr.Bit, tr.RelErr)
+			}
+		}
 	}
 }
 

@@ -24,9 +24,11 @@ type MultiTrial struct {
 	Positions []int   // flipped bit positions, ascending
 	FaultyVal float64 // decoded value after all flips
 
-	AbsErr       float64 // |FaultyVal - representable original|
-	RelErr       float64 // AbsErr relative to the representable original
-	Catastrophic bool    // faulty value decoded to NaN/Inf/NaR (or orig was 0)
+	// Errors and Catastrophic follow Trial's definitions (qcat.Point
+	// against OrigValue).
+	AbsErr       float64 // |OrigValue - FaultyVal|
+	RelErr       float64 // AbsErr / |OrigValue|
+	Catastrophic bool    // NaN/Inf/NaR, or a zero original made nonzero
 }
 
 // RunMultiBit injects `trials` faults of `flips` simultaneous bit

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"positres/internal/atomicio"
 	"positres/internal/core"
@@ -49,15 +50,25 @@ func recordPath(journalDir string, sh Shard) string {
 	return filepath.Join(journalDir, sh.ID()+".rec")
 }
 
+// recordBufs recycles record body buffers across the journal writes
+// of every shard worker, so each record encodes into scratch that
+// already fits a shard instead of growing a fresh body from its meta
+// line (the idiom of store's block buffers).
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // writeRecord journals a completed shard atomically.
 func writeRecord(journalDir string, meta recordMeta, trials []core.Trial) error {
-	body, err := json.Marshal(meta)
+	line, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("runner: journal meta: %w", err)
 	}
-	body = append(body, '\n')
+	bp := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(bp)
+	body := append(append((*bp)[:0], line...), '\n')
 	sh := meta.Shard
-	if body, err = store.AppendBlock(body, sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials); err != nil {
+	body, err = store.AppendBlock(body, sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials)
+	*bp = body[:0] // keep the grown capacity even on error
+	if err != nil {
 		return fmt.Errorf("runner: journal payload: %w", err)
 	}
 	return atomicio.WriteFile(recordPath(journalDir, sh), func(w io.Writer) error {

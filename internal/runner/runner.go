@@ -95,7 +95,9 @@ type Config struct {
 	// appends of different shards run concurrently (the journal stays
 	// the durability source, so a sink failure costs the shard, not
 	// the campaign — the shard is reported failed and a Resume run can
-	// replay it). A store.CampaignWriter satisfies this interface.
+	// replay it). The trials handed to the sink live in the worker's
+	// reused slab, so the sink must copy what it keeps (ShardSink). A
+	// store.CampaignWriter satisfies this interface.
 	Sink ShardSink
 	// Metrics, when non-nil, receives shard lifecycle counts, the
 	// shard latency histogram, retry/backoff tallies and worker busy
@@ -158,6 +160,11 @@ func (cfg *Config) sleep(ctx context.Context, d time.Duration) error {
 // concurrent use. An error fails that shard (not the campaign) — the
 // journal remains authoritative, so the shard is replayable by a
 // Resume run.
+//
+// AppendShard must not retain trials after it returns: the slice is
+// the shard worker's slab, which the runner refills with the worker's
+// next shard. An implementation copies what it keeps, as the store
+// does into its block and per-bit aggregates.
 type ShardSink interface {
 	AppendShard(field, codec string, bitLo, bitHi int, trials []core.Trial) error
 }
@@ -328,6 +335,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's trial slab: every local shard it runs
+			// computes into it (runShard). It is free again once the
+			// sink's AppendShard returns, because a sink keeps no
+			// reference to the trials; without a sink the Report keeps
+			// them, and the next shard starts a fresh slab.
+			var slab []core.Trial
 			for jb := range jobs {
 				if ctx.Err() != nil {
 					continue // cancelled: drain remaining shards without working
@@ -338,7 +351,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				if jb.data != nil {
 					data = jb.data.Data()
 				}
-				trials, status := runShard(ctx, &c, codecs[specIndex(specs, sh.Spec)], sh, data)
+				trials, status := runShard(ctx, &c, codecs[specIndex(specs, sh.Spec)], sh, data, &slab)
 				if status.State == ShardDone && st.enabled() {
 					if jerr := st.journal(status, params, trials); jerr != nil {
 						// A shard whose durability write failed is a
@@ -360,7 +373,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					} else {
 						slots[jb.i].sunk = true
 					}
-					trials = nil // the slab is the sink's problem now
+					trials = nil // the sink kept no reference: the slab is free for the next shard
+				}
+				if trials != nil {
+					slab = nil // the Report keeps these trials
 				}
 				slots[jb.i].status = status
 				slots[jb.i].trials = trials
@@ -472,20 +488,19 @@ func specIndex(specs []Spec, sp Spec) int {
 	return -1
 }
 
-// runShard executes one shard with watchdog and bounded retry. For
-// local computation it allocates the shard's trial buffer once and
-// reuses it across retry attempts (core.RunRangeInto fills it in
-// place) — unless an attempt was abandoned by the watchdog, in which
-// case the orphaned goroutine may still be writing into the buffer
-// and the next attempt must start from a fresh one.
-func runShard(ctx context.Context, cfg *Config, codec numfmt.Codec, sh Shard, data []float64) ([]core.Trial, ShardStatus) {
+// runShard executes one shard with watchdog and bounded retry. Local
+// computation fills the worker's slab in place (core.RunRangeInto),
+// first growing it to the shard's size if it is too small, and reuses
+// it across retry attempts; the trials it returns alias *slab. An
+// attempt abandoned by the watchdog retires the slab: its orphaned
+// goroutine may still be writing into it, so *slab is set to nil and
+// the next attempt, like every later shard of the worker, starts from
+// a fresh one.
+func runShard(ctx context.Context, cfg *Config, codec numfmt.Codec, sh Shard, data []float64, slab *[]core.Trial) ([]core.Trial, ShardStatus) {
 	st := ShardStatus{Shard: sh, State: ShardFailed}
 	start := time.Now()
 	var lastErr error
-	var buf []core.Trial
-	if cfg.Execute == nil {
-		buf = make([]core.Trial, (sh.BitHi-sh.BitLo)*cfg.campaign.TrialsPerBit)
-	}
+	need := (sh.BitHi - sh.BitLo) * cfg.campaign.TrialsPerBit
 	for attempt := 1; attempt <= cfg.maxRetries+1; attempt++ {
 		st.Attempts = attempt
 		if attempt > 1 {
@@ -497,7 +512,10 @@ func runShard(ctx context.Context, cfg *Config, codec numfmt.Codec, sh Shard, da
 				return nil, st
 			}
 		}
-		trials, abandoned, err := attemptShard(ctx, cfg, codec, sh, data, attempt, buf)
+		if cfg.Execute == nil && cap(*slab) < need {
+			*slab = make([]core.Trial, need)
+		}
+		trials, abandoned, err := attemptShard(ctx, cfg, codec, sh, data, attempt, *slab)
 		if err == nil {
 			st.State = ShardDone
 			st.Error = ""
@@ -505,7 +523,7 @@ func runShard(ctx context.Context, cfg *Config, codec numfmt.Codec, sh Shard, da
 			return trials, st
 		}
 		if abandoned {
-			buf = nil // still owned by the abandoned attempt's goroutine
+			*slab = nil // still owned by the abandoned attempt's goroutine
 		}
 		if ctx.Err() != nil {
 			// The campaign itself is shutting down — not a shard fault.
@@ -564,7 +582,7 @@ func JitteredBackoff(base time.Duration, attempt int, key string) time.Duration 
 // shared cancelled context and its result is discarded through the
 // buffered channel. Local computation fills buf in place via
 // core.RunRangeInto; an abandoned attempt keeps writing into it until
-// its context check, which is why runShard retires the buffer on
+// its context check, which is why runShard retires the slab on
 // abandonment. When Execute is set the body dispatches remotely
 // instead of computing locally; the surrounding machinery is
 // identical, which is how shard reassignment away from a dead worker

@@ -18,6 +18,7 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
+	"positres/internal/store"
 	"positres/internal/telemetry"
 )
 
@@ -679,6 +680,46 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if _, _, err := readRecord(path); err == nil {
 		t.Fatal("truncated record must not verify")
+	}
+}
+
+// TestWriteRecordReusesBuffer bounds the journal's steady-state
+// garbage: each record body encodes into a pooled buffer, so writing a
+// record allocates its meta line and file handles, not a copy of its
+// block. Growing the body from the meta line, as the journal once did,
+// allocated about twice the block per record.
+func TestWriteRecordReusesBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of Puts under -race")
+	}
+	dir := t.TempDir()
+	cfg := core.DefaultConfig()
+	cfg.Workers = 1
+	field, err := sdrbench.Lookup("CESM/CLOUD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := sdrbench.ToFloat64(field.Generate(2000, 7))
+	sh := Shard{Spec: Spec{Field: "CESM/CLOUD", Codec: "posit32", N: len(data), Seed: 7}, BitLo: 8, BitHi: 16}
+	trials, err := core.RunRange(context.Background(), cfg, mustCodecT(t, sh.Codec), sh.Field, data, sh.BitLo, sh.BitHi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := store.AppendBlock(nil, sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := recordMeta{Shard: sh, Campaign: paramsOf(cfg), Trials: len(trials), DurationNS: 1, Attempts: 1}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := writeRecord(dir, meta, trials); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got, limit := res.AllocedBytesPerOp(), int64(len(block)/4); got >= limit {
+		t.Fatalf("writeRecord allocates %d B per record, want < %d (a quarter of its %d-byte block)",
+			got, limit, len(block))
 	}
 }
 

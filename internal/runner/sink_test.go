@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -88,6 +89,68 @@ func testSinkStreams(t *testing.T, ref *Report, workers int) {
 		if g, w := fmt.Sprint(aggs), fmt.Sprint(core.AggregateByBit(ref.Results[i].Trials)); g != w {
 			t.Fatalf("%s: store aggregates differ from the slab's:\n got %s\nwant %s", sp.Key(), g, w)
 		}
+	}
+}
+
+// slabSink records, for every shard it is handed, the address of the
+// shard's first trial (which slab the runner computed it into) and the
+// shard's CSV rendered at append time, before the runner can refill
+// the slab. The runner calls it from concurrent shard workers.
+type slabSink struct {
+	mu    sync.Mutex
+	slabs map[*core.Trial]bool
+	csvs  map[string][]byte // by Spec.Key() and bitLo
+}
+
+func (s *slabSink) AppendShard(field, codec string, bitLo, bitHi int, trials []core.Trial) error {
+	var buf bytes.Buffer
+	if err := core.WriteTrialsCSV(&buf, trials); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.slabs[&trials[0]] = true
+	s.csvs[fmt.Sprintf("%s %s %d", field, codec, bitLo)] = buf.Bytes()
+	return nil
+}
+
+// TestWorkersReuseSlabs pins slab ownership: with a sink, each shard
+// worker computes every shard into one slab of its own, so a campaign
+// sees at most Workers distinct slabs, and each shard's trials, read
+// while AppendShard runs, equal the reference run's. The test campaign
+// mixes posit16 and ieee32 shards of one size, so a slab refilled with
+// another format must not leak any field of the last shard it held.
+func TestWorkersReuseSlabs(t *testing.T) {
+	ref, err := Run(context.Background(), testCfg(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpb := testSpec().TrialsPerBit
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sink := &slabSink{slabs: map[*core.Trial]bool{}, csvs: map[string][]byte{}}
+			cfg := testCfg("")
+			cfg.Workers = workers
+			cfg.Sink = sink
+			rep, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Complete() || len(sink.csvs) != testShardTotal {
+				t.Fatalf("sink saw %d of %d shards: %+v", len(sink.csvs), testShardTotal, rep)
+			}
+			if len(sink.slabs) > workers {
+				t.Fatalf("%d shards used %d distinct slabs, want at most %d (one per worker)",
+					testShardTotal, len(sink.slabs), workers)
+			}
+			for _, st := range rep.Shards {
+				res := ref.Results[specIndex(ref.Specs, st.Spec)]
+				want := renderCSV(t, &core.Result{Trials: res.Trials[st.BitLo*tpb : st.BitHi*tpb]})
+				if got := sink.csvs[fmt.Sprintf("%s %s %d", st.Field, st.Codec, st.BitLo)]; !bytes.Equal(got, want) {
+					t.Fatalf("shard %s: trials at append time differ from the reference run", st.ID())
+				}
+			}
+		})
 	}
 }
 

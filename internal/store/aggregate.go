@@ -66,7 +66,7 @@ type BitSummary struct {
 	// Trials counts all trials at this position.
 	Trials int `json:"trials"`
 	// Catastrophic counts trials whose faulty value decoded to
-	// NaN/Inf/NaR (or whose original was zero).
+	// NaN/Inf/NaR or turned a zero original nonzero.
 	Catastrophic int `json:"catastrophic"`
 	// The error aggregates below summarize the non-catastrophic
 	// trials only, like core.BitAgg; the medians are exact.

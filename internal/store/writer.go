@@ -98,7 +98,9 @@ func (w *Writer) Rows() uint64 {
 // already appended: each bit's rows come from exactly one shard. A
 // shard that violates this is refused with ErrCorrupt before any byte
 // reaches the file. A failed write spends the writer: further appends
-// fail and Seal aborts.
+// fail and Seal aborts. AppendShard does not retain trials after it
+// returns (the block and the aggregates are copies), so a caller may
+// refill the slice with its next shard, as the runner's workers do.
 func (w *Writer) AppendShard(bitLo, bitHi int, trials []core.Trial) error {
 	bp := blockBufs.Get().(*[]byte)
 	defer blockBufs.Put(bp)
