@@ -20,10 +20,9 @@ test-short:
 	$(GO) test -short ./...
 
 # Domain-aware static analysis (see docs/LINT.md). Non-zero exit on
-# any unsuppressed diagnostic, so this gates CI. The content-hash
-# cache lives under /tmp so repeat runs only re-analyze what changed.
+# any unsuppressed diagnostic, so this gates CI.
 lint:
-	$(GO) run ./cmd/positlint -cache "$${TMPDIR:-/tmp}/positlint-cache" ./...
+	$(GO) run ./cmd/positlint ./...
 
 # Apply the mechanical autofixes (errdrop, pkgdoc, exportdoc stubs)
 # in place, then report whatever judgement rules still flag.

@@ -26,7 +26,6 @@
 //	              report instead of text lines (CI archives this)
 //	-prune        report suppression-file entries and inline ignore
 //	              directives that no longer match any diagnostic
-//	-cache DIR    reuse per-package results keyed by content hash
 //	-jobs N       analyze N packages concurrently (default GOMAXPROCS)
 //
 // Suppressions: see docs/LINT.md. File-based entries live in
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		fix      = fs.Bool("fix", false, "apply suggested fixes in place, then report what remains")
 		format   = fs.String("format", "text", "output format: text or json")
 		prune    = fs.Bool("prune", false, "report stale suppressions and ignore directives instead of linting")
-		cacheDir = fs.String("cache", "", "cache per-package results in this directory")
 		jobs     = fs.Int("jobs", 0, "packages to analyze concurrently (default GOMAXPROCS)")
 	)
 	fs.Usage = func() {
@@ -135,9 +133,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	runner := &lint.Runner{Rules: rules, Suppress: sup, Jobs: *jobs}
-	if *cacheDir != "" {
-		runner.Cache = lint.NewCache(*cacheDir)
-	}
 	diags := runner.Run(pkgs)
 
 	if *fix {

@@ -120,15 +120,48 @@ func TestCLIPositcampaign(t *testing.T) {
 	if err != nil || !strings.Contains(out, "HACC/vx / posit16") {
 		t.Errorf("file campaign: %v\n%s", err, out)
 	}
+	// A -data run streams into a store like any campaign, so it can
+	// keep it.
+	stores := t.TempDir()
+	out, err = run(t, bin, "-field", "HACC/vx", "-data", raw, "-formats", "posit16", "-trials", "5", "-store-out", stores)
+	if err != nil {
+		t.Errorf("file campaign with -store-out: %v\n%s", err, out)
+	} else if _, err := os.Stat(filepath.Join(stores, "HACC_vx_posit16.pts")); err != nil {
+		t.Errorf("file campaign store: %v", err)
+	}
+	// The scratch stores behind -out are gone once a run returns; a
+	// crashed run leaves its own, and the resume deletes them.
+	scratch := func(dir string) []string {
+		m, _ := filepath.Glob(filepath.Join(dir, ".stores-*"))
+		return m
+	}
+	if s := scratch(dir); len(s) != 0 {
+		t.Errorf("scratch stores left by a complete run: %v", s)
+	}
+	crash := t.TempDir()
+	flags := []string{"-field", "CESM/CLOUD", "-formats", "posit16", "-n", "2000", "-trials", "3", "-bits-per-shard", "4", "-out", crash}
+	if out, err := run(t, bin, append(flags[:len(flags):len(flags)], "-debug-crash-after", "1")...); err == nil {
+		t.Errorf("crash run exited 0:\n%s", out)
+	}
+	if s := scratch(crash); len(s) != 1 {
+		t.Errorf("crash run left scratch stores %v, want one directory", s)
+	}
+	if out, err := run(t, bin, append(flags[:len(flags):len(flags)], "-resume")...); err != nil {
+		t.Errorf("resume: %v\n%s", err, out)
+	}
+	if s := scratch(crash); len(s) != 0 {
+		t.Errorf("scratch stores left after resume: %v", s)
+	}
 	// Missing field flag exits nonzero.
 	if _, err := run(t, bin); err == nil {
 		t.Error("missing -field should fail")
 	}
 }
 
-// TestCLIPositcampaignStoreSummary: the summary tables printed from the
-// trials (-out) and from the sealed store's footer (-store-out) are
-// identical — the footer holds core.AggregateByBit's exact medians.
+// TestCLIPositcampaignStoreSummary: the summary tables printed by an
+// -out run (scratch stores, rendered as CSV) and a -store-out run (kept
+// stores) are identical — both read the sealed footer, which holds
+// core.AggregateByBit's exact medians.
 func TestCLIPositcampaignStoreSummary(t *testing.T) {
 	bin := buildTool(t, "positcampaign")
 	tables := func(dest string) string {

@@ -123,13 +123,13 @@ type Result struct {
 	Field  string  // dataset field key the campaign ran over
 	Codec  string  // format name under test
 	N      int     // dataset length
-	Trials []Trial // every injection, in (bit, seq) order
+	Trials []Trial // every injection, in (bit, seq) order; nil from runner.Run
 	// Elapsed is the compute time of this campaign alone. Run records
-	// the wall-clock time of its call. A result that runner.Run
-	// assembles from shards holds the sum of the shards' durations
-	// instead: shards overlap, so this is about Workers × the spec's
-	// wall time, and after a resume it includes the durations that
-	// earlier runs journaled.
+	// the wall-clock time of its call. The Result runner.Run reports
+	// for a spec holds the sum of the spec's shard durations instead:
+	// shards overlap, so this is about Workers × the spec's wall time,
+	// and after a resume it includes the durations that earlier runs
+	// journaled.
 	Elapsed time.Duration
 }
 

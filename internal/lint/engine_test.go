@@ -71,19 +71,6 @@ func TestFactIndexQuireAccum(t *testing.T) {
 	}
 }
 
-func TestFactIndexHashDeterministic(t *testing.T) {
-	pkg := loadFixture(t, "csvheader")
-	a := BuildFacts([]*Package{pkg}).Hash()
-	b := BuildFacts([]*Package{pkg}).Hash()
-	if a != b {
-		t.Errorf("fact hash not deterministic: %s vs %s", a, b)
-	}
-	other := BuildFacts([]*Package{loadFixture(t, "errcode")}).Hash()
-	if a == other {
-		t.Error("fact hashes of different packages collide")
-	}
-}
-
 // TestRunnerParallelDeterministic runs the full rule set over several
 // packages at different concurrency levels and demands byte-identical
 // diagnostic streams: ordering must come from sortDiagnostics, never
@@ -107,71 +94,6 @@ func TestRunnerParallelDeterministic(t *testing.T) {
 				t.Fatalf("jobs=%d round=%d: diagnostics differ from sequential run", jobs, round)
 			}
 		}
-	}
-}
-
-func TestCacheHitMatchesFreshRun(t *testing.T) {
-	dir := t.TempDir()
-	pkgs := []*Package{loadFixture(t, "all")}
-	cold := (&Runner{Rules: AllRules(), Cache: NewCache(dir)}).Run(pkgs)
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cache dir not populated: %v (%d entries)", err, len(entries))
-	}
-	warm := (&Runner{Rules: AllRules(), Cache: NewCache(dir)}).Run(pkgs)
-	if !reflect.DeepEqual(cold, warm) {
-		t.Error("cached diagnostics differ from fresh run")
-	}
-	uncached := (&Runner{Rules: AllRules()}).Run(pkgs)
-	if !reflect.DeepEqual(cold, uncached) {
-		t.Error("cache-backed diagnostics differ from uncached run")
-	}
-}
-
-func TestCacheIgnoresCorruptEntries(t *testing.T) {
-	dir := t.TempDir()
-	pkgs := []*Package{loadFixture(t, "all")}
-	runner := &Runner{Rules: AllRules(), Cache: NewCache(dir)}
-	want := runner.Run(pkgs)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), []byte("{not json"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := (&Runner{Rules: AllRules(), Cache: NewCache(dir)}).Run(pkgs)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("corrupt cache entries changed the diagnostics")
-	}
-}
-
-func TestCacheKeyChangesWithRulesAndFacts(t *testing.T) {
-	c := NewCache(t.TempDir())
-	pkg := loadFixture(t, "all")
-	k1, err := c.key(pkg, []string{"floatcmp"}, "facts-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := c.key(pkg, []string{"errdrop"}, "facts-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k3, err := c.key(pkg, []string{"floatcmp"}, "facts-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k2 || k1 == k3 {
-		t.Error("cache key insensitive to rule set or facts hash")
-	}
-	k4, err := c.key(pkg, []string{"floatcmp"}, "facts-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k4 {
-		t.Error("cache key not deterministic")
 	}
 }
 

@@ -10,15 +10,9 @@ package lint
 //
 // The index is deliberately small and declarative — named structs with
 // their ordered field sets, string-literal registries, error-code
-// constants, and call-graph edges into quire accumulation APIs — so
-// its deterministic serialization doubles as a cache-key ingredient
-// (see cache.go): a package's diagnostics are valid as long as neither
-// its own files nor the facts it consumed have changed.
+// constants, and call-graph edges into quire accumulation APIs.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -243,43 +237,6 @@ func (idx *FactIndex) collectQuireAccum(pass *Pass, d *ast.FuncDecl) {
 	}
 	sort.Ints(fact.Params)
 	idx.QuireAccum[fact.Func] = fact
-}
-
-// Hash returns a deterministic digest of the index, used as a
-// cache-key ingredient: any fact change invalidates every package's
-// cached diagnostics, because rules may consume facts from anywhere.
-func (idx *FactIndex) Hash() string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	writeSorted := func(keys []string, get func(string) interface{}) {
-		sort.Strings(keys)
-		for _, k := range keys {
-			_, _ = h.Write([]byte(k))
-			// Encoding into a hash never fails for these plain structs.
-			_ = enc.Encode(get(k))
-		}
-	}
-	var keys []string
-	for k := range idx.Structs {
-		keys = append(keys, k)
-	}
-	writeSorted(keys, func(k string) interface{} { return idx.Structs[k] })
-	keys = keys[:0]
-	for k := range idx.StringLists {
-		keys = append(keys, k)
-	}
-	writeSorted(keys, func(k string) interface{} { return idx.StringLists[k] })
-	keys = keys[:0]
-	for k := range idx.ErrorCodes {
-		keys = append(keys, k)
-	}
-	writeSorted(keys, func(k string) interface{} { return idx.ErrorCodes[k] })
-	keys = keys[:0]
-	for k := range idx.QuireAccum {
-		keys = append(keys, k)
-	}
-	writeSorted(keys, func(k string) interface{} { return idx.QuireAccum[k] })
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // HasErrorCode reports whether value is a registered stable code.

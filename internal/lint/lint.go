@@ -12,9 +12,7 @@
 // fact index — exported struct field sets, string-literal registries,
 // error-code constants, call-graph edges into quire accumulation APIs
 // — so pass 2's rules can enforce invariants that span declarations
-// and packages. Pass 2 runs the rules per package, in parallel, with
-// an optional content-hash diagnostic cache (cache.go) so `make lint`
-// stays fast as the repo grows.
+// and packages. Pass 2 runs the rules per package, in parallel.
 //
 // The analyzer is built only on the standard library (go/parser,
 // go/ast, go/token, go/types, go/importer) — the module has zero
@@ -139,13 +137,10 @@ var ignoreRx = regexp.MustCompile(`^//positlint:ignore\s+([\w*,-]+)(\s+\S.*)?$`)
 //
 // Run is two-pass: it first builds the repo-wide fact index over every
 // package it was handed (so rules see cross-package facts), then lints
-// the packages in parallel. With a non-nil Cache, a package whose file
-// contents, rule set and consumed facts are unchanged since the last
-// run returns its recorded diagnostics without re-analysis.
+// the packages in parallel.
 type Runner struct {
 	Rules    []Rule        // rules to execute, in report order
 	Suppress *Suppressions // optional file-based suppressions
-	Cache    *Cache        // optional content-hash diagnostic cache
 	Jobs     int           // max concurrent packages; <=0 means GOMAXPROCS
 }
 
@@ -153,14 +148,6 @@ type Runner struct {
 // sorted by file, line, column, rule.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	facts := BuildFacts(pkgs)
-	factsHash := ""
-	if r.Cache != nil {
-		factsHash = facts.Hash()
-	}
-	ruleIDs := make([]string, len(r.Rules))
-	for i, rule := range r.Rules {
-		ruleIDs[i] = rule.ID()
-	}
 
 	// Per-package parallelism: rules are stateless and the typed ASTs
 	// are read-only after load, so packages lint independently.
@@ -177,14 +164,13 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i] = r.lintPackage(pkgs[i], facts, factsHash, ruleIDs)
+			results[i] = r.lintPackage(pkgs[i], facts)
 		}(i)
 	}
 	wg.Wait()
 
-	// The file-based suppressions are applied after the cache layer:
-	// cached entries hold the full (post-inline-ignore) diagnostic set,
-	// so editing .positlint.suppress never requires re-analysis.
+	// The file-based suppressions apply last, to each package's
+	// post-inline-ignore diagnostic set.
 	var out []Diagnostic
 	for _, diags := range results {
 		for _, d := range diags {
@@ -199,17 +185,8 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 }
 
 // lintPackage produces one package's diagnostics (after inline-ignore
-// filtering, before file-based suppression), consulting the cache.
-func (r *Runner) lintPackage(pkg *Package, facts *FactIndex, factsHash string, ruleIDs []string) []Diagnostic {
-	var key string
-	if r.Cache != nil {
-		if k, err := r.Cache.key(pkg, ruleIDs, factsHash); err == nil {
-			key = k
-			if diags, ok := r.Cache.get(key); ok {
-				return diags
-			}
-		}
-	}
+// filtering, before file-based suppression).
+func (r *Runner) lintPackage(pkg *Package, facts *FactIndex) []Diagnostic {
 	pass := pkg.pass()
 	pass.Facts = facts
 	entries, bad := inlineIgnores(pass)
@@ -224,9 +201,6 @@ func (r *Runner) lintPackage(pkg *Package, facts *FactIndex, factsHash string, r
 		}
 	}
 	sortDiagnostics(out)
-	if r.Cache != nil && key != "" {
-		r.Cache.put(key, out)
-	}
 	return out
 }
 

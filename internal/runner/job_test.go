@@ -19,6 +19,7 @@ func tinyConfig(dir string) Config {
 		},
 		Dir:     dir,
 		Workers: 2,
+		Sink:    discardSink{},
 	}
 }
 

@@ -100,13 +100,20 @@ func readRecord(path string) (recordMeta, []core.Trial, error) {
 	if _, err := fmt.Sscanf(header, recordMagic+" %08x %d\n", &crc, &n); err != nil {
 		return meta, nil, fmt.Errorf("runner: record %s: bad header %q", path, header)
 	}
+	// A record must end exactly where its header says. Checking the
+	// declared length against the bytes the file holds before
+	// allocating makes a torn, negative or huge length a bad record
+	// rather than a panic or a giant allocation.
+	info, err := f.Stat()
+	if err != nil {
+		return meta, nil, fmt.Errorf("runner: record %s: %w", path, err)
+	}
+	if held := info.Size() - int64(len(header)); int64(n) != held {
+		return meta, nil, fmt.Errorf("runner: record %s: header declares a %d-byte body, file holds %d", path, n, held)
+	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(br, body); err != nil {
 		return meta, nil, fmt.Errorf("runner: record %s: truncated body: %w", path, err)
-	}
-	// A record must end exactly where its header says.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return meta, nil, fmt.Errorf("runner: record %s: trailing bytes after declared body", path)
 	}
 	if got := crc32.ChecksumIEEE(body); got != crc {
 		return meta, nil, fmt.Errorf("runner: record %s: crc mismatch (have %08x, want %08x)", path, got, crc)

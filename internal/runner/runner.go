@@ -34,7 +34,6 @@ import (
 	"hash/fnv"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -85,19 +84,17 @@ type Config struct {
 	// happens (progress reporting, crash injection in the e2e test).
 	// It is called serially.
 	OnShardDone func(st ShardStatus)
-	// Sink, when non-nil, receives every completed shard's trials —
-	// fresh and journal-resumed alike — as the campaign runs, and the
-	// Report's Results carry Trials == nil (identity, N and Elapsed
-	// stay populated). This is how campaign-scale runs stay in
-	// bounded memory: trials stream into an append-only store instead
-	// of accumulating per-spec slabs. Each shard is appended once, by
-	// the worker that computed it, after the shard is journaled, so
-	// appends of different shards run concurrently (the journal stays
-	// the durability source, so a sink failure costs the shard, not
-	// the campaign — the shard is reported failed and a Resume run can
-	// replay it). The trials handed to the sink live in the worker's
-	// reused slab, so the sink must copy what it keeps (ShardSink). A
-	// store.CampaignWriter satisfies this interface.
+	// Sink receives every completed shard's trials — fresh and
+	// journal-resumed alike — as the campaign runs. Required: it is the
+	// only way trials leave the runner, so a campaign of any size runs
+	// in bounded memory and the Report carries no trials. Each shard is
+	// appended once, by the worker that computed it, after the shard is
+	// journaled, so appends of different shards run concurrently (the
+	// journal stays the durability source, so a sink failure costs the
+	// shard, not the campaign — the shard is reported failed and a
+	// Resume run can replay it). The trials handed to the sink live in
+	// the worker's reused slab, so the sink must copy what it keeps
+	// (ShardSink). A store.CampaignWriter satisfies this interface.
 	Sink ShardSink
 	// Metrics, when non-nil, receives shard lifecycle counts, the
 	// shard latency histogram, retry/backoff tallies and worker busy
@@ -193,13 +190,11 @@ type Report struct {
 	// Specs is the expanded (field, codec) matrix, SpecsOf(cfg.Spec).
 	Specs []Spec
 	// Results is index-aligned with Specs. A spec whose shards all
-	// completed (freshly or from the journal) gets an assembled
-	// *core.Result with trials in bit order; a spec with failed or
-	// skipped shards gets nil. Result.Elapsed is the sum of the spec's
-	// shard durations, journaled ones included — not its wall time.
-	// When Config.Sink is set the trials streamed out as the campaign
-	// ran, so Result.Trials is nil and the sink (typically a store)
-	// holds the rows.
+	// reached the sink (freshly or from the journal) gets a
+	// *core.Result with its identity, N and Elapsed, the sum of the
+	// spec's shard durations, journaled ones included — not its wall
+	// time; a spec with failed or skipped shards gets nil. Trials is
+	// always nil: the rows are in the sink (typically a store).
 	Results []*core.Result
 	// Shards lists every shard outcome in deterministic (spec, bit)
 	// order.
@@ -225,15 +220,19 @@ func (r *Report) Complete() bool { return !r.Cancelled && r.Failed == 0 && r.Ski
 // Partial reports a finished campaign with failed shards.
 func (r *Report) Partial() bool { return !r.Cancelled && r.Failed > 0 }
 
-// Run executes the campaign described by cfg.Spec durably. Fatal
-// setup problems (invalid spec, incompatible journal, unwritable
-// state directory) return an error; shard-level failures and
-// cancellation are reported in the Report instead, so one bad shard
-// cannot take down the campaign.
+// Run executes the campaign described by cfg.Spec durably, streaming
+// every completed shard into cfg.Sink. Fatal setup problems (no sink,
+// invalid spec, incompatible journal, unwritable state directory)
+// return an error; shard-level failures and cancellation are reported
+// in the Report instead, so one bad shard cannot take down the
+// campaign.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	start := time.Now()
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("runner: Config.Spec is required")
+	}
+	if cfg.Sink == nil {
+		return nil, fmt.Errorf("runner: Config.Sink is required")
 	}
 	if verr := cfg.Spec.Validate(); verr != nil {
 		return nil, fmt.Errorf("runner: invalid campaign spec: %w", verr)
@@ -279,44 +278,29 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	// Load verified journal records for the shards we expect.
-	type slot struct {
-		status ShardStatus
-		trials []core.Trial
-		sunk   bool // trials delivered to cfg.Sink; the slab is released
-	}
-	slots := make([]slot, len(shards))
+	// Journal-resumed shards flow through the sink too, so a resumed
+	// campaign's store is as complete as a fresh one.
+	statuses := make([]ShardStatus, len(shards))
 	for i, sh := range shards {
-		slots[i].status = ShardStatus{Shard: sh, State: ShardSkipped}
+		statuses[i] = ShardStatus{Shard: sh, State: ShardSkipped}
 		if meta, trials, ok := st.load(sh, params); ok {
-			slots[i].status.State = ShardResumed
-			slots[i].status.Attempts = meta.Attempts
-			slots[i].status.DurationNS = meta.DurationNS
-			if c.Sink != nil {
-				// Journal-resumed shards flow through the sink too, so a
-				// resumed campaign's store is as complete as a fresh one.
-				if serr := c.Sink.AppendShard(sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials); serr != nil {
-					slots[i].status.State = ShardFailed
-					slots[i].status.Error = fmt.Sprintf("sink: %v", serr)
-				} else {
-					slots[i].sunk = true
-				}
-			} else {
-				slots[i].trials = trials
+			statuses[i].State = ShardResumed
+			statuses[i].Attempts = meta.Attempts
+			statuses[i].DurationNS = meta.DurationNS
+			if serr := c.Sink.AppendShard(sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials); serr != nil {
+				statuses[i].State = ShardFailed
+				statuses[i].Error = fmt.Sprintf("sink: %v", serr)
 			}
 			// Attempts = 1: the retries happened in the previous run
 			// and were counted by that run's metrics.
-			c.Metrics.ObserveShard(slots[i].status.State, 0, 1)
+			c.Metrics.ObserveShard(statuses[i].State, 0, 1)
 		}
-	}
-	statuses := make([]ShardStatus, len(slots))
-	for i := range slots {
-		statuses[i] = slots[i].status
 	}
 	if err := st.begin(statuses); err != nil {
 		return nil, err
 	}
 
-	// Shard worker pool. Slots are written by index (disjoint); the
+	// Shard worker pool. Statuses are written by index (disjoint); the
 	// mutex serializes the OnShardDone callback only. A local shard
 	// injects into its field's dataset, shared by every format: the
 	// feeder resolves each shard's cache entry in feed order, which is
@@ -338,8 +322,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			// The worker's trial slab: every local shard it runs
 			// computes into it (runShard). It is free again once the
 			// sink's AppendShard returns, because a sink keeps no
-			// reference to the trials; without a sink the Report keeps
-			// them, and the next shard starts a fresh slab.
+			// reference to the trials.
 			var slab []core.Trial
 			for jb := range jobs {
 				if ctx.Err() != nil {
@@ -359,27 +342,19 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 						// resume silently lose it.
 						status.State = ShardFailed
 						status.Error = jerr.Error()
-						trials = nil
 					}
 				}
 				c.Metrics.AddWorkerBusy(time.Since(busyStart))
-				if c.Sink != nil && status.State == ShardDone {
+				if status.State == ShardDone {
 					// Journal first (above), sink second: durability is
 					// already settled, so a sink failure only fails this
 					// shard and a Resume run replays it into a new store.
 					if serr := c.Sink.AppendShard(sh.Field, sh.Codec, sh.BitLo, sh.BitHi, trials); serr != nil {
 						status.State = ShardFailed
 						status.Error = fmt.Sprintf("sink: %v", serr)
-					} else {
-						slots[jb.i].sunk = true
 					}
-					trials = nil // the sink kept no reference: the slab is free for the next shard
 				}
-				if trials != nil {
-					slab = nil // the Report keeps these trials
-				}
-				slots[jb.i].status = status
-				slots[jb.i].trials = trials
+				statuses[jb.i] = status
 				c.Metrics.ObserveShard(status.State, status.Duration(), status.Attempts)
 				if c.OnShardDone != nil {
 					mu.Lock()
@@ -391,7 +366,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 feed:
 	for i, sh := range shards {
-		if slots[i].status.State == ShardResumed {
+		if statuses[i].State == ShardResumed {
 			continue // already satisfied by the journal
 		}
 		jb := job{i: i}
@@ -410,12 +385,12 @@ feed:
 	rep := &Report{
 		Specs:     specs,
 		Results:   make([]*core.Result, len(specs)),
+		Shards:    statuses,
 		Cancelled: ctx.Err() != nil,
 		Elapsed:   time.Since(start),
 	}
-	for _, s := range slots {
-		rep.Shards = append(rep.Shards, s.status)
-		switch s.status.State {
+	for _, s := range statuses {
+		switch s.State {
 		case ShardDone:
 			rep.Completed++
 		case ShardResumed:
@@ -427,48 +402,20 @@ feed:
 		}
 	}
 
-	// Assemble per-spec results from shard trials, in bit order. With a
-	// Sink the trials already streamed out shard by shard, so the
-	// Result keeps identity and timing but carries no slab.
+	// A spec is complete when every one of its shards reached the sink.
 	for si, sp := range specs {
-		var parts []slot
-		complete := true
-		for i, sh := range shards {
-			if sh.Spec != sp {
+		res := &core.Result{Field: sp.Field, Codec: sp.Codec, N: sp.N}
+		for _, s := range statuses {
+			if s.Spec != sp {
 				continue
 			}
-			if slots[i].trials == nil && !slots[i].sunk {
-				complete = false
+			if s.State != ShardDone && s.State != ShardResumed {
+				res = nil
 				break
 			}
-			parts = append(parts, slots[i])
+			res.Elapsed += s.Duration()
 		}
-		if !complete || len(parts) == 0 {
-			continue
-		}
-		sort.Slice(parts, func(a, b int) bool { return parts[a].status.BitLo < parts[b].status.BitLo })
-		var trials []core.Trial
-		if c.Sink == nil {
-			total := 0
-			for _, p := range parts {
-				total += len(p.trials)
-			}
-			trials = make([]core.Trial, 0, total) // one exact allocation, not append-doubling
-		}
-		var elapsed time.Duration
-		for _, p := range parts {
-			if c.Sink == nil {
-				trials = append(trials, p.trials...)
-			}
-			elapsed += p.status.Duration()
-		}
-		rep.Results[si] = &core.Result{
-			Field:   sp.Field,
-			Codec:   sp.Codec,
-			N:       sp.N,
-			Trials:  trials,
-			Elapsed: elapsed,
-		}
+		rep.Results[si] = res
 	}
 
 	if err := st.finish(rep); err != nil {

@@ -43,10 +43,17 @@ func testCfg(dir string) Config {
 		Spec:    testSpec(),
 		Dir:     dir,
 		Workers: 2,
+		Sink:    discardSink{},
 		// Tests never want real backoff waits unless they say so.
 		Sleep: func(ctx context.Context, d time.Duration) error { return ctx.Err() },
 	}
 }
+
+// discardSink accepts and drops every shard: the sink of tests that
+// check the runner's bookkeeping rather than its trials.
+type discardSink struct{}
+
+func (discardSink) AppendShard(string, string, int, int, []core.Trial) error { return nil }
 
 // singleShardCfg is a one-shard campaign (posit8, 8 bits per shard)
 // for retry/watchdog tests that need exactly one unit of work.
@@ -64,15 +71,88 @@ func singleShardCfg() Config {
 	return cfg
 }
 
-// renderCSV gives the byte-exact CSV a campaign result would publish —
-// the artifact the resume-equivalence guarantee is stated over.
-func renderCSV(t *testing.T, res *core.Result) []byte {
+// directTrials computes a spec's whole campaign straight from the
+// engine — core.RunRange over every bit — through neither the runner
+// nor a store: the reference every runner output is compared against.
+func directTrials(t *testing.T, cs *spec.CampaignSpec, sp Spec) []core.Trial {
 	t.Helper()
-	if res == nil {
-		t.Fatal("missing result for a spec that should be complete")
+	if verr := cs.Validate(); verr != nil {
+		t.Fatal(verr)
 	}
+	field, err := sdrbench.Lookup(sp.Field)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := mustCodecT(t, sp.Codec)
+	data := sdrbench.ToFloat64(field.Generate(sp.N, sp.Seed))
+	trials, err := core.RunRange(context.Background(), core.ConfigFromSpec(cs), codec, sp.Field, data, 0, codec.Width())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trials
+}
+
+// csvOf renders trials as the byte-exact CSV a campaign publishes —
+// the artifact the resume-equivalence guarantee is stated over.
+func csvOf(t *testing.T, trials []core.Trial) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := core.WriteTrialsCSV(&buf, res.Trials); err != nil {
+	if err := core.WriteTrialsCSV(&buf, trials); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// directCSVs is the reference CSV of every spec of cs, in SpecsOf
+// order.
+func directCSVs(t *testing.T, cs *spec.CampaignSpec) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, sp := range SpecsOf(cs) {
+		out = append(out, csvOf(t, directTrials(t, cs, sp)))
+	}
+	return out
+}
+
+// storeRun runs cfg with its trials streamed into stores in a fresh
+// directory, and returns the report and, per spec, the CSV rendered
+// from the spec's sealed store (nil for a spec with no result).
+func storeRun(t *testing.T, cfg Config) (*Report, [][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	cw := store.NewCampaignWriter(dir)
+	defer cw.Abort()
+	cfg.Sink = cw
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvs := make([][]byte, len(rep.Specs))
+	for i, res := range rep.Results {
+		if res == nil {
+			continue
+		}
+		if res.Trials != nil {
+			t.Fatalf("%s: the Result holds %d trials", rep.Specs[i].Key(), len(res.Trials))
+		}
+		csvs[i] = storeCSV(t, cw, dir, res.Field, res.Codec)
+	}
+	return rep, csvs
+}
+
+// storeCSV seals one spec's store and renders it as CSV.
+func storeCSV(t *testing.T, cw *store.CampaignWriter, dir, field, codec string) []byte {
+	t.Helper()
+	if err := cw.Seal(field, codec); err != nil {
+		t.Fatal(err)
+	}
+	r, err := store.Open(filepath.Join(dir, store.FileName(field, codec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var buf bytes.Buffer
+	if err := r.RenderCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -105,16 +185,9 @@ func TestSpecsOf(t *testing.T) {
 
 // TestResumeEquivalence is the acceptance test for the durable runner:
 // a campaign interrupted mid-flight and resumed must produce CSVs
-// byte-identical to an uninterrupted run.
+// byte-identical to an uninterrupted campaign.
 func TestResumeEquivalence(t *testing.T) {
-	// Reference: one uninterrupted, non-durable run.
-	ref, err := Run(context.Background(), testCfg(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.Complete() {
-		t.Fatalf("reference run not complete: %+v", ref)
-	}
+	want := directCSVs(t, testSpec())
 
 	// Interrupted run: cancel the campaign after two shards journal.
 	dir := t.TempDir()
@@ -152,10 +225,7 @@ func TestResumeEquivalence(t *testing.T) {
 	// Resume: only the missing shards run; final CSVs are identical.
 	cfg2 := testCfg(dir)
 	cfg2.Resume = true
-	rep2, err := Run(context.Background(), cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2, got := storeRun(t, cfg2)
 	if !rep2.Complete() {
 		t.Fatalf("resumed run not complete: %+v", rep2)
 	}
@@ -166,9 +236,8 @@ func TestResumeEquivalence(t *testing.T) {
 		t.Fatalf("recomputed %d shards, want %d", rep2.Completed, testShardTotal-rep1.Completed)
 	}
 	for i := range rep2.Specs {
-		got, want := renderCSV(t, rep2.Results[i]), renderCSV(t, ref.Results[i])
-		if !bytes.Equal(got, want) {
-			t.Fatalf("spec %s: resumed CSV differs from uninterrupted run", rep2.Specs[i].Key())
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("spec %s: resumed CSV differs from the direct campaign", rep2.Specs[i].Key())
 		}
 	}
 	m, err = loadManifest(filepath.Join(dir, "manifest.json"))
@@ -222,18 +291,15 @@ func TestResumeParamMismatch(t *testing.T) {
 }
 
 // TestCorruptRecordRecomputed: a journal record that fails CRC (here: a
-// flipped payload byte) or carries an older format (a PJR1 record with
-// a CSV payload) is treated as absent, and only those shards are
-// recomputed — with output still identical to a clean run.
+// flipped payload byte), carries an older format (a PJR1 record with
+// a CSV payload) or declares a body length the file does not hold
+// (negative, or one byte past its end) is treated as absent, and only
+// those shards are recomputed — with output still identical to a
+// clean campaign.
 func TestCorruptRecordRecomputed(t *testing.T) {
 	dir := t.TempDir()
-	ref, err := Run(context.Background(), testCfg(dir))
-	if err != nil {
+	if _, err := Run(context.Background(), testCfg(dir)); err != nil {
 		t.Fatal(err)
-	}
-	refCSVs := make([][]byte, len(ref.Specs))
-	for i := range ref.Specs {
-		refCSVs[i] = renderCSV(t, ref.Results[i])
 	}
 
 	recs, err := filepath.Glob(filepath.Join(dir, "journal", "*.rec"))
@@ -270,17 +336,37 @@ func TestCorruptRecordRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Two more records keep their body but declare a length the file
+	// does not hold: -1, and one byte more than the body it has.
+	for i, length := range map[int]func(body int) int{
+		7: func(int) int { return -1 },
+		9: func(body int) int { return body + 1 },
+	} {
+		raw, err := os.ReadFile(recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := bytes.IndexByte(raw, '\n')
+		var crc uint32
+		var n int
+		if _, err := fmt.Sscanf(string(raw[:nl+1]), "PJR2 %08x %d\n", &crc, &n); err != nil {
+			t.Fatal(err)
+		}
+		forged := fmt.Sprintf("PJR2 %08x %d\n%s", crc, length(n), raw[nl+1:])
+		if err := os.WriteFile(recs[i], []byte(forged), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	cfg := testCfg(dir)
 	cfg.Resume = true
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete() || rep.Completed != 2 || rep.Resumed != testShardTotal-2 {
+	rep, got := storeRun(t, cfg)
+	if !rep.Complete() || rep.Completed != 4 || rep.Resumed != testShardTotal-4 {
 		t.Fatalf("corrupt-record resume profile: %+v", rep)
 	}
+	want := directCSVs(t, testSpec())
 	for i := range rep.Specs {
-		if !bytes.Equal(renderCSV(t, rep.Results[i]), refCSVs[i]) {
+		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("spec %s: CSV differs after corrupt-record recovery", rep.Specs[i].Key())
 		}
 	}
@@ -330,11 +416,6 @@ func TestRetryBackoff(t *testing.T) {
 // under the same retry machinery, and produces trials byte-identical
 // to a local run when the executor is faithful.
 func TestExecuteHook(t *testing.T) {
-	ref, err := Run(context.Background(), testCfg(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	cfg := testCfg("")
 	var calls int32
 	var failedOnce atomic.Bool
@@ -357,19 +438,17 @@ func TestExecuteHook(t *testing.T) {
 		data := sdrbench.ToFloat64(field.Generate(sh.N, sh.Seed))
 		return core.RunRange(ctx, ccfg, codec, sh.Field, data, sh.BitLo, sh.BitHi)
 	}
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, got := storeRun(t, cfg)
 	if !rep.Complete() {
 		t.Fatalf("execute-hook run not complete: %+v", rep.Shards)
 	}
 	if got := atomic.LoadInt32(&calls); got != testShardTotal+1 {
 		t.Fatalf("Execute called %d times, want %d (every shard + one retry)", got, testShardTotal+1)
 	}
+	want := directCSVs(t, testSpec())
 	for i := range rep.Specs {
-		if !bytes.Equal(renderCSV(t, rep.Results[i]), renderCSV(t, ref.Results[i])) {
-			t.Fatalf("spec %s: Execute-hook CSV differs from local run", rep.Specs[i].Key())
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("spec %s: Execute-hook CSV differs from the local engine", rep.Specs[i].Key())
 		}
 	}
 }
@@ -396,7 +475,7 @@ func TestRetryExhaustedPartial(t *testing.T) {
 		t.Fatalf("partial profile: failed=%d completed=%d cancelled=%v", rep.Failed, rep.Completed, rep.Cancelled)
 	}
 	if rep.Results[0] != nil {
-		t.Fatal("spec with a failed shard must have no assembled result")
+		t.Fatal("spec with a failed shard must have no result")
 	}
 	if rep.Results[1] == nil {
 		t.Fatal("unaffected spec must still complete")
@@ -497,6 +576,20 @@ func TestRunSpecValidation(t *testing.T) {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("%s: Run should fail", name)
 		}
+	}
+}
+
+// TestRunRequiresSink: the sink is the only way trials leave the
+// runner, so a campaign without one fails before touching state.
+func TestRunRequiresSink(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	cfg := testCfg(dir)
+	cfg.Sink = nil
+	if _, err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "Sink") {
+		t.Fatalf("Run without a sink: err = %v, want a missing-sink error", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Run without a sink touched its state directory (stat err %v)", err)
 	}
 }
 

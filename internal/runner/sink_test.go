@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"positres/internal/core"
 	"positres/internal/store"
@@ -16,30 +17,28 @@ import (
 
 // TestSinkStreamsCampaign is the acceptance test for the store sink:
 // a campaign streamed through a store.CampaignWriter must publish
-// CSVs byte-identical to the in-memory slab path, per-bit aggregates
-// matching core.AggregateByBit, and Results that keep identity and N
-// while carrying no trial slab. Workers append their own shards
-// concurrently, so the store must come out the same at every worker
-// count; under -race (`make race`) this is also the sink's data-race
-// check.
+// CSVs byte-identical to the engine's direct render, per-bit
+// aggregates matching core.AggregateByBit over the direct trials, and
+// Results that keep identity and N while carrying no trials. Workers
+// append their own shards concurrently, so the store must come out
+// the same at every worker count; under -race (`make race`) this is
+// also the sink's data-race check.
 func TestSinkStreamsCampaign(t *testing.T) {
-	ref, err := Run(context.Background(), testCfg(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.Complete() {
-		t.Fatalf("reference run incomplete: %+v", ref)
+	cs := testSpec()
+	var want [][]core.Trial
+	for _, sp := range SpecsOf(cs) {
+		want = append(want, directTrials(t, cs, sp))
 	}
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			testSinkStreams(t, ref, workers)
+			testSinkStreams(t, want, workers)
 		})
 	}
 }
 
 // testSinkStreams runs the sink campaign at one worker count and
-// checks every store against the reference slab run.
-func testSinkStreams(t *testing.T, ref *Report, workers int) {
+// checks every store against the direct trials.
+func testSinkStreams(t *testing.T, want [][]core.Trial, workers int) {
 	dir := t.TempDir()
 	cw := store.NewCampaignWriter(dir)
 	defer cw.Abort()
@@ -62,32 +61,35 @@ func testSinkStreams(t *testing.T, ref *Report, workers int) {
 		if res.Trials != nil {
 			t.Fatalf("%s: sink run still holds %d trials in the Result", sp.Key(), len(res.Trials))
 		}
-		if res.Field != sp.Field || res.Codec != sp.Codec || res.N != sp.N || res.N != ref.Results[i].N {
+		if res.Field != sp.Field || res.Codec != sp.Codec || res.N != sp.N {
 			t.Fatalf("%s: result identity %+v", sp.Key(), res)
 		}
-		if err := cw.Seal(sp.Field, sp.Codec); err != nil {
-			t.Fatal(err)
+		var elapsed time.Duration
+		for _, st := range rep.Shards {
+			if st.Spec == sp {
+				elapsed += st.Duration()
+			}
+		}
+		if res.Elapsed != elapsed {
+			t.Fatalf("%s: Elapsed %v, want the shards' sum %v", sp.Key(), res.Elapsed, elapsed)
+		}
+		got := storeCSV(t, cw, dir, sp.Field, sp.Codec)
+		if w := csvOf(t, want[i]); !bytes.Equal(got, w) {
+			t.Fatalf("%s: store CSV differs from the direct CSV (%d vs %d bytes)",
+				sp.Key(), len(got), len(w))
 		}
 		r, err := store.Open(filepath.Join(dir, store.FileName(sp.Field, sp.Codec)))
 		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := r.RenderCSV(&got); err != nil {
 			t.Fatal(err)
 		}
 		aggs := r.BitAggs()
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if want := renderCSV(t, ref.Results[i]); !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("%s: store CSV differs from slab CSV (%d vs %d bytes)",
-				sp.Key(), got.Len(), len(want))
-		}
 		// %v prints each float in its shortest round-tripping form,
 		// so equal text is equal bits (NaN-safe, unlike ==).
-		if g, w := fmt.Sprint(aggs), fmt.Sprint(core.AggregateByBit(ref.Results[i].Trials)); g != w {
-			t.Fatalf("%s: store aggregates differ from the slab's:\n got %s\nwant %s", sp.Key(), g, w)
+		if g, w := fmt.Sprint(aggs), fmt.Sprint(core.AggregateByBit(want[i])); g != w {
+			t.Fatalf("%s: store aggregates differ from the direct trials':\n got %s\nwant %s", sp.Key(), g, w)
 		}
 	}
 }
@@ -114,18 +116,20 @@ func (s *slabSink) AppendShard(field, codec string, bitLo, bitHi int, trials []c
 	return nil
 }
 
-// TestWorkersReuseSlabs pins slab ownership: with a sink, each shard
-// worker computes every shard into one slab of its own, so a campaign
-// sees at most Workers distinct slabs, and each shard's trials, read
-// while AppendShard runs, equal the reference run's. The test campaign
-// mixes posit16 and ieee32 shards of one size, so a slab refilled with
-// another format must not leak any field of the last shard it held.
+// TestWorkersReuseSlabs pins slab ownership: each shard worker
+// computes every shard into one slab of its own, so a campaign sees at
+// most Workers distinct slabs, and each shard's trials, read while
+// AppendShard runs, equal the same bits of the engine's direct run.
+// The test campaign mixes posit16 and ieee32 shards of one size, so a
+// slab refilled with another format must not leak any field of the
+// last shard it held.
 func TestWorkersReuseSlabs(t *testing.T) {
-	ref, err := Run(context.Background(), testCfg(""))
-	if err != nil {
-		t.Fatal(err)
+	cs := testSpec()
+	want := map[Spec][]core.Trial{}
+	for _, sp := range SpecsOf(cs) {
+		want[sp] = directTrials(t, cs, sp)
 	}
-	tpb := testSpec().TrialsPerBit
+	tpb := cs.TrialsPerBit
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			sink := &slabSink{slabs: map[*core.Trial]bool{}, csvs: map[string][]byte{}}
@@ -144,10 +148,9 @@ func TestWorkersReuseSlabs(t *testing.T) {
 					testShardTotal, len(sink.slabs), workers)
 			}
 			for _, st := range rep.Shards {
-				res := ref.Results[specIndex(ref.Specs, st.Spec)]
-				want := renderCSV(t, &core.Result{Trials: res.Trials[st.BitLo*tpb : st.BitHi*tpb]})
-				if got := sink.csvs[fmt.Sprintf("%s %s %d", st.Field, st.Codec, st.BitLo)]; !bytes.Equal(got, want) {
-					t.Fatalf("shard %s: trials at append time differ from the reference run", st.ID())
+				w := csvOf(t, want[st.Spec][st.BitLo*tpb:st.BitHi*tpb])
+				if got := sink.csvs[fmt.Sprintf("%s %s %d", st.Field, st.Codec, st.BitLo)]; !bytes.Equal(got, w) {
+					t.Fatalf("shard %s: trials at append time differ from the direct run", st.ID())
 				}
 			}
 		})
@@ -155,9 +158,9 @@ func TestWorkersReuseSlabs(t *testing.T) {
 }
 
 // TestSinkFedOnResume pins that journal-resumed shards flow through
-// the sink too: run durably without a sink, then resume with one —
-// every shard arrives via the journal and the store must still equal
-// the reference CSV.
+// the sink too: run durably into a sink that drops every shard, then
+// resume into a store — every shard arrives via the journal and the
+// store must still equal the direct CSV.
 func TestSinkFedOnResume(t *testing.T) {
 	stateDir := t.TempDir()
 	first, err := Run(context.Background(), testCfg(stateDir))
@@ -168,39 +171,19 @@ func TestSinkFedOnResume(t *testing.T) {
 		t.Fatalf("seed run incomplete: %+v", first)
 	}
 
-	storeDir := t.TempDir()
-	cw := store.NewCampaignWriter(storeDir)
-	defer cw.Abort()
 	cfg := testCfg(stateDir)
 	cfg.Resume = true
-	cfg.Sink = cw
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, got := storeRun(t, cfg)
 	if rep.Resumed != testShardTotal || rep.Completed != 0 {
 		t.Fatalf("resumed %d completed %d, want all %d resumed", rep.Resumed, rep.Completed, testShardTotal)
 	}
+	want := directCSVs(t, testSpec())
 	for i, sp := range rep.Specs {
-		if rep.Results[i] == nil || rep.Results[i].Trials != nil {
-			t.Fatalf("%s: resumed sink result %+v", sp.Key(), rep.Results[i])
+		if rep.Results[i] == nil {
+			t.Fatalf("%s: no result after resume", sp.Key())
 		}
-		if err := cw.Seal(sp.Field, sp.Codec); err != nil {
-			t.Fatal(err)
-		}
-		r, err := store.Open(filepath.Join(storeDir, store.FileName(sp.Field, sp.Codec)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := r.RenderCSV(&got); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if want := renderCSV(t, first.Results[i]); !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("%s: resumed store CSV differs from original", sp.Key())
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: resumed store CSV differs from the direct CSV", sp.Key())
 		}
 	}
 }

@@ -178,10 +178,10 @@ type backpressure struct {
 }
 
 // retryAfterSeconds derives the Retry-After hint for a queue_full
-// rejection from current occupancy: an almost-draining queue asks for
-// 1s, a saturated one scales up linearly, capped at 30s. Derived, not
-// hard-coded, so a deep queue under light churn does not park clients
-// for a flat worst-case wait.
+// rejection from current occupancy (deriveRetryAfter): an
+// almost-draining queue asks for 1s and a full one for 15s. Derived,
+// not hard-coded, so a deep queue under light churn does not park
+// clients for a flat worst-case wait.
 func (s *jobStore) retryAfterSeconds() int {
 	s.mu.Lock()
 	queued, depth := s.queued, s.queueDepth
@@ -189,13 +189,14 @@ func (s *jobStore) retryAfterSeconds() int {
 	return deriveRetryAfter(queued, depth)
 }
 
-// deriveRetryAfter maps queue occupancy to whole seconds in [1, 30].
+// deriveRetryAfter maps queue occupancy to whole seconds in [1, 30]:
+// 15 × queued/depth, rounded to the nearest second (ties down). A full
+// queue of any depth gives 15s; only a backlog of twice the depth (jobs
+// recovered on restart can exceed it) reaches the 30s cap.
 func deriveRetryAfter(queued, depth int) int {
 	if depth <= 0 || queued <= 0 {
 		return 1
 	}
-	// Linear in occupancy: a full queue of depth D suggests ~D/2
-	// seconds of drain at typical smoke-campaign pace, clamped.
 	secs := (queued*30 + depth - 1) / (2 * depth)
 	if secs < 1 {
 		secs = 1

@@ -131,8 +131,8 @@ func (r *Reader) Doc() *AggregateDoc {
 }
 
 // bitOrder returns the block index sorted by ascending BitLo — the
-// order the runner's assembly step concatenates shard slabs in, which
-// is what keeps rendered CSV byte-identical to the in-memory path.
+// order a direct core.RunRange over the whole bit range produces
+// trials in, which is what keeps rendered CSV byte-identical to it.
 func (r *Reader) bitOrder() []blockInfo {
 	blocks := make([]blockInfo, len(r.fd.blocks))
 	copy(blocks, r.fd.blocks)
@@ -160,8 +160,8 @@ func (r *Reader) readBlock(b blockInfo, buf []byte, dst []core.Trial) ([]byte, [
 }
 
 // RenderCSV streams the store's rows to w as CSV, byte-identical to
-// core.WriteTrialsCSV over the same trials in assembly order (blocks
-// by ascending bit range, rows in stored order within each block).
+// core.WriteTrialsCSV over the same trials in bit order (blocks by
+// ascending bit range, rows in stored order within each block).
 // Memory is bounded by the largest single block, not the campaign.
 func (r *Reader) RenderCSV(w io.Writer) error {
 	out := make([]byte, 0, core.CSVFlushAt+512)
@@ -193,7 +193,7 @@ func (r *Reader) RenderCSV(w io.Writer) error {
 	return nil
 }
 
-// Trials materializes every row in assembly order — the convenience
+// Trials materializes every row in bit order — the convenience
 // path for offline tooling on modest stores; campaign-scale callers
 // should stream with RenderCSV or read aggregates instead.
 func (r *Reader) Trials() ([]core.Trial, error) {

@@ -251,6 +251,8 @@ var (
 	// RunDurable executes a CampaignSpec durably under a state
 	// directory: journaled shards, crash-safe resume, bounded retries
 	// (and, under positserve coordinator mode, distributed fan-out).
+	// Every completed shard streams into the required RunnerConfig.Sink,
+	// typically a CampaignStoreWriter; the report carries no trials.
 	RunDurable = runner.Run
 	// ExpandSpecs expands a CampaignSpec into its (field, codec) matrix.
 	ExpandSpecs = runner.SpecsOf

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -216,17 +217,54 @@ func TestFacadeDurableCampaign(t *testing.T) {
 		t.Fatalf("ExpandSpecs = %d specs, want 1", len(specs))
 	}
 
+	// The trials stream into a store; the report keeps none.
+	storeDir := t.TempDir()
+	cw := positres.NewCampaignStoreWriter(storeDir)
+	defer cw.Abort()
 	rep, err := positres.RunDurable(context.Background(), positres.RunnerConfig{
-		Spec: cs, Dir: t.TempDir(), Workers: 2,
+		Spec: cs, Dir: t.TempDir(), Workers: 2, Sink: cw,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Complete() || len(rep.Results) != 1 || rep.Results[0] == nil {
+	if !rep.Complete() || len(rep.Results) != 1 || rep.Results[0] == nil || rep.Results[0].Trials != nil {
 		t.Fatalf("report = %+v", rep)
 	}
-	if got := len(rep.Results[0].Trials); got != 8*2 {
-		t.Fatalf("trials = %d, want 16", got)
+	if err := cw.Seal("CESM/CLOUD", "posit8"); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := positres.OpenTrialStore(filepath.Join(storeDir, positres.TrialStoreFileName("CESM/CLOUD", "posit8")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if got := rd.Rows(); got != 8*2 {
+		t.Fatalf("stored trials = %d, want 16", got)
+	}
+	// The store renders what the engine computes directly.
+	codec, err := positres.LookupFormat("posit8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	field, err := positres.LookupField("CESM/CLOUD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := positres.DefaultCampaignConfig()
+	ccfg.Seed, ccfg.TrialsPerBit = cs.Seed, cs.TrialsPerBit
+	res, err := positres.RunCampaign(ccfg, codec, "CESM/CLOUD", positres.WidenFloat32(field.Generate(cs.N, cs.Seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored, direct bytes.Buffer
+	if err := rd.RenderCSV(&stored); err != nil {
+		t.Fatal(err)
+	}
+	if err := positres.WriteTrialsCSV(&direct, res.Trials); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored.Bytes(), direct.Bytes()) {
+		t.Fatal("stored CSV differs from the direct campaign's")
 	}
 
 	// Bad specs fail with the stable error code shared with the CLI

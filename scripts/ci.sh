@@ -2,8 +2,9 @@
 # ci.sh — the full local CI pipeline, invoked by `make ci`.
 #
 # Runs every gate in order and fails fast: formatting, vet, build,
-# positlint (including a self-test that the linter still fires on its
-# fixtures), the positbench smoke (archived as artifacts/BENCH_PR10.json,
+# the perfbench module's vet and tests, positlint (including a
+# self-test that the linter still fires on its fixtures), the
+# positbench smoke (archived as artifacts/BENCH_PR10.json,
 # with an informational trajectory print against the committed
 # baseline), the store fuzz smokes, the bounded-memory
 # columnar-store smoke (a 10⁷-trial campaign under GOMEMLIMIT whose
@@ -40,6 +41,9 @@ $GO vet ./...
 
 banner "go build ./..."
 $GO build ./...
+
+banner "perfbench module: vet and test (it compiles against runner, store, serve and core)"
+(cd perfbench && $GO vet ./... && $GO test ./...)
 
 banner "positlint ./..."
 $GO run ./cmd/positlint ./...
