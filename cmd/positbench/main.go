@@ -1,11 +1,13 @@
-// Command positbench is the repo's benchmark driver: it runs the
-// fixed-budget performance suite — campaign injection throughput,
-// posit substrate micro-benchmarks (encode/decode/arithmetic/quire),
-// the LUT-vs-generic and CLZ-vs-generic decode comparisons, the
-// store-block-vs-CSV trial codec comparison, and representative
-// figure regenerations — through testing.Benchmark and writes a
-// schema-versioned JSON baseline (see docs/PERF.md) suitable for
-// committing as BENCH_<pr>.json and diffing across PRs.
+// Command positbench is the repo's micro-benchmark driver: it runs the
+// fixed-budget suite — the allocation-free campaign loop, posit
+// substrate micro-benchmarks (encode/decode/arithmetic/quire), the
+// LUT-vs-generic and CLZ-vs-generic decode comparisons, the
+// store-block-vs-CSV trial codec comparison, the store append/render
+// paths and representative figure regenerations — through
+// testing.Benchmark and writes a schema-versioned JSON baseline (see
+// docs/PERF.md) suitable for committing as BENCH_<pr>.json and diffing
+// across PRs. End-to-end paths (campaign CLI, service, cluster) are
+// perfbench's to measure (perfbench/README.md).
 //
 // Usage:
 //
@@ -24,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -41,10 +42,7 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/posit"
 	"positres/internal/sdrbench"
-	"positres/internal/serve"
-	"positres/internal/spec"
 	"positres/internal/store"
-	"positres/internal/telemetry"
 	"positres/internal/textplot"
 )
 
@@ -161,8 +159,8 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	// Derived headline numbers: the LUT and CLZ decode tiers' measured
-	// wins, the store block's win over the CSV codec, and the
-	// campaign's injection rate (the telemetry counter cross-check).
+	// wins, the store block's win over the CSV codec, and the store
+	// append and aggregate-figure ratios.
 	for _, w := range []int{8, 16} {
 		lut := byName[fmt.Sprintf("posit%d_decode_lut", w)]
 		gen := byName[fmt.Sprintf("posit%d_decode_generic", w)]
@@ -190,9 +188,6 @@ func run(args []string, stdout io.Writer) int {
 			rep.Derived["block_decode_speedup"] = cd.NsPerOp / bd.NsPerOp
 		}
 	}
-	if c, ok := byName["campaign_posit32"]; ok {
-		rep.Derived["campaign_injections_per_sec"] = c.Metrics["injections/s"]
-	}
 	if sa, ok := byName["store_append_shard"]; ok {
 		rep.Derived["store_append_allocs_per_op"] = float64(sa.AllocsPerOp)
 		if tps := sa.Metrics["trials_per_shard"]; tps > 0 && sa.NsPerOp > 0 {
@@ -207,17 +202,11 @@ func run(args []string, stdout io.Writer) int {
 			rep.Derived["agg_figure_vs_render_speedup"] = rr.NsPerOp / fa.NsPerOp
 		}
 	}
-	if one, ok := byName["cluster_campaign_1worker"]; ok {
-		if three, ok3 := byName["cluster_campaign_3workers"]; ok3 && three.NsPerOp > 0 {
-			rep.Derived["cluster_scaleout_3v1"] = one.NsPerOp / three.NsPerOp
-		}
-	}
 
 	fmt.Fprint(stdout, table.Render())
 	for _, k := range []string{"posit8_decode_speedup", "posit16_decode_speedup",
 		"posit32_decode_speedup", "posit64_decode_speedup",
 		"block_encode_speedup", "block_decode_speedup", "block_csv_size_ratio",
-		"campaign_injections_per_sec", "cluster_scaleout_3v1",
 		"store_append_allocs_per_op", "store_append_trials_per_sec",
 		"agg_figure_vs_render_speedup"} {
 		if v, ok := rep.Derived[k]; ok {
@@ -325,72 +314,6 @@ type benchCase struct {
 	fn   func(b *testing.B)
 }
 
-// benchClusterCampaign measures a distributed campaign end to end: a
-// coordinator and n workers (all in-process, connected over real HTTP
-// via httptest), one posit32 campaign per iteration submitted with
-// ?wait=1. Dispatch concurrency matches the fleet size, as a real
-// deployment would configure it.
-func benchClusterCampaign(nWorkers int, budget figures.Budget) func(*testing.B) {
-	return func(b *testing.B) {
-		ctx, cancel := context.WithCancel(context.Background())
-		var done []func()
-		defer func() {
-			cancel()
-			for i := len(done) - 1; i >= 0; i-- {
-				done[i]()
-			}
-		}()
-		newNode := func(cfg serve.Config) string {
-			dir, err := os.MkdirTemp("", "positbench-cluster-")
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.DataDir = dir
-			srv, err := serve.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.Start(ctx)
-			ts := httptest.NewServer(srv.Handler())
-			done = append(done, func() {
-				srv.Wait()
-				ts.Close()
-				_ = os.RemoveAll(dir)
-			})
-			return ts.URL
-		}
-		workers := make([]string, nWorkers)
-		for i := range workers {
-			workers[i] = newNode(serve.Config{})
-		}
-		coord := newNode(serve.Config{Workers: workers, CampaignWorkers: nWorkers})
-		client := serve.NewClient(coord, nil)
-
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cs := &spec.CampaignSpec{
-				Fields:       []string{"Hurricane/Vf30"},
-				Formats:      []string{"posit32"},
-				N:            budget.DatasetN,
-				TrialsPerBit: budget.TrialsPerBit,
-				Seed:         uint64(i + 1),
-				BitsPerShard: 4,
-			}
-			st, err := client.SubmitCampaign(ctx, cs, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.State != "complete" {
-				b.Fatalf("campaign state %q: %s", st.State, st.Error)
-			}
-		}
-		// 32 bit positions × TrialsPerBit injections per campaign.
-		total := float64(32*budget.TrialsPerBit) * float64(b.N)
-		b.ReportMetric(total/b.Elapsed().Seconds(), "injections/s")
-	}
-}
-
 // benchCases builds the suite. Order is the report order.
 func benchCases(budget figures.Budget) []benchCase {
 	return []benchCase{
@@ -473,11 +396,6 @@ func benchCases(budget figures.Budget) []benchCase {
 				}
 			}
 		}},
-		// Campaign throughput: injections/sec plus the hot path's
-		// allocation profile (the trial-loop alloc reduction shows up
-		// here as allocs/op).
-		{"campaign_posit32", benchCampaign("posit32", budget)},
-		{"campaign_posit16", benchCampaign("posit16", budget)},
 		// The steady-state single-node loop: RunRangeInto at one worker
 		// with a reused trial buffer — the shape the runner drives per
 		// shard. 0 allocs/op is the PR 9 acceptance number.
@@ -489,14 +407,6 @@ func benchCases(budget figures.Budget) []benchCase {
 		{"csv_encode_shard", benchCSVEncode(budget)},
 		{"block_decode_shard", benchBlockDecode(budget)},
 		{"csv_decode_shard", benchCSVDecode(budget)},
-		// Distributed fan-out: the same engine behind positserve
-		// coordinator mode, dispatching every shard over HTTP to an
-		// in-process worker fleet. 1 vs 3 workers gives the scale-out
-		// ratio (derived: cluster_scaleout_3v1); the gap between
-		// cluster_campaign_1worker and campaign_posit32 is the cost of
-		// the shard hop and the coordinator's journal.
-		{"cluster_campaign_1worker", benchClusterCampaign(1, budget)},
-		{"cluster_campaign_3workers", benchClusterCampaign(3, budget)},
 		// The columnar trial store: shard append (encode + per-bit
 		// aggregation, the runner's sink path), CSV render from columns
 		// (what GET /results streams), and a figure built purely from
@@ -778,42 +688,6 @@ func benchRunRange(codecName string, budget figures.Budget) func(*testing.B) {
 				b.Fatal(err)
 			}
 			total += len(buf)
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "injections/s")
-	}
-}
-
-// benchCampaign measures raw core.Run throughput for one codec with a
-// live telemetry sink attached (so the overhead measured here is the
-// instrumented production path) and cross-checks the counter against
-// the trial slice the campaign returns.
-func benchCampaign(codecName string, budget figures.Budget) func(*testing.B) {
-	return func(b *testing.B) {
-		field, err := sdrbench.Lookup("Hurricane/Vf30")
-		if err != nil {
-			b.Fatal(err)
-		}
-		data := sdrbench.ToFloat64(field.Generate(budget.DatasetN, 1))
-		codec, err := numfmt.Lookup(codecName)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := core.DefaultConfig()
-		cfg.TrialsPerBit = budget.TrialsPerBit
-		cfg.Metrics = telemetry.New()
-		b.ReportAllocs()
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			cfg.Seed = uint64(i + 1)
-			r, err := core.Run(context.Background(), cfg, codec, field.Key(), data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += len(r.Trials)
-		}
-		if got := cfg.Metrics.Injections.Load(); got != int64(total) {
-			b.Fatalf("telemetry drift: counted %d injections, ran %d", got, total)
 		}
 		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "injections/s")
 	}

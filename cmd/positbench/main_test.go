@@ -48,13 +48,13 @@ func TestRunSmoke(t *testing.T) {
 	for _, want := range []string{
 		"posit8_decode_lut", "posit8_decode_generic",
 		"posit16_decode_lut", "posit16_decode_generic",
-		"campaign_posit32",
+		"campaign_runrange_posit32", "block_encode_shard", "store_append_shard",
 	} {
 		if !names[want] {
 			t.Fatalf("suite missing %s", want)
 		}
 	}
-	for _, k := range []string{"posit8_decode_speedup", "posit16_decode_speedup", "campaign_injections_per_sec"} {
+	for _, k := range []string{"posit8_decode_speedup", "posit16_decode_speedup"} {
 		if rep.Derived[k] <= 0 {
 			t.Fatalf("derived %s = %v, want > 0", k, rep.Derived[k])
 		}

@@ -8,13 +8,15 @@
 //	positstore verify FILE.pts ...       # full-file CRC and aggregate verification
 //	positstore smoke [flags]             # bounded-memory equivalence check
 //
-// smoke is the CI driver for the store's two core guarantees: a
-// campaign streamed shard by shard into a store renders CSV
-// byte-identical (SHA-256-compared) to the direct core.WriteTrialsCSV
-// path, and the footer aggregates pass Verify (each equals
-// core.AggregateByBit over its block) and form a valid aggregate
-// document — all without ever holding more than one shard of trials in
-// memory, so it runs a 10⁷-trial campaign under a small GOMEMLIMIT.
+// smoke is the CI driver for the store's core guarantees: a campaign
+// streamed shard by shard into a store renders CSV byte-identical
+// (SHA-256-compared) to the direct core.WriteTrialsCSV path, the
+// footer aggregates pass Verify (each equals core.AggregateByBit over
+// its block) and form a valid aggregate document, and the memory all
+// of that takes is set by a few shard-sized buffers, not by the
+// campaign: the process's peak resident set (VmHWM in
+// /proc/self/status) must stay below half of what the campaign's
+// trials would take materialized. CI runs it over 10⁷ trials.
 //
 // Exit codes: 0 ok; 1 failure; 2 usage.
 package main
@@ -28,8 +30,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
+	"strconv"
+	"strings"
 	"time"
+	"unsafe"
 
 	"positres/internal/core"
 	"positres/internal/numfmt"
@@ -133,9 +137,11 @@ func verifyCmd(args []string) error {
 
 // smokeCmd streams one (field, format) campaign into a store shard by
 // shard while hashing the direct CSV encoding of the same trials, then
-// verifies the store, compares its rendered CSV against the hash and
-// validates the aggregate document. Peak trial residency is one shard,
-// so the whole check runs in bounded memory regardless of -trials.
+// verifies the store, compares its rendered CSV against the hash,
+// validates the aggregate document and checks the process's peak
+// resident set against half the campaign's materialized size. Peak
+// trial residency is one shard, so the whole check runs in bounded
+// memory regardless of -trials.
 func smokeCmd(args []string) error {
 	fs := flag.NewFlagSet("smoke", flag.ExitOnError)
 	var (
@@ -247,13 +253,45 @@ func smokeCmd(args []string) error {
 			reread.Trials, len(reread.Bits), reread.Sealed, totalRows, width)
 	}
 
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	st, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("smoke ok: %d trials, %d bits, store %d bytes, csv sha256 %x, heap sys %d MiB, %v\n",
-		totalRows, width, st.Size(), got, ms.HeapSys/(1<<20), time.Since(start).Round(time.Millisecond))
+	// Memory: a few shard-sized buffers (the shard slab, its block, the
+	// render's decoded block), never the campaign.
+	materialized := totalRows * uint64(unsafe.Sizeof(core.Trial{}))
+	bound := materialized / 2
+	peak, err := peakRSS()
+	var mem string
+	switch {
+	case err != nil:
+		mem = fmt.Sprintf("peak rss unknown (%v; bound not checked)", err)
+	case peak >= bound:
+		return fmt.Errorf("peak rss %d MiB reaches half of the %d MiB the %d trials take materialized",
+			peak>>20, materialized>>20, totalRows)
+	default:
+		mem = fmt.Sprintf("peak rss %d MiB (bound %d MiB)", peak>>20, bound>>20)
+	}
+	fmt.Printf("smoke ok: %d trials, %d bits, store %d bytes, csv sha256 %x, %s, %v\n",
+		totalRows, width, st.Size(), got, mem, time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// peakRSS returns the process's peak resident set size in bytes, read
+// from VmHWM in /proc/self/status (Linux).
+func peakRSS() (uint64, error) {
+	raw, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 10, 64)
+			if err != nil {
+				return 0, fmt.Errorf("VmHWM %q: %w", rest, err)
+			}
+			return kb << 10, nil
+		}
+	}
+	return 0, fmt.Errorf("no VmHWM line in /proc/self/status")
 }

@@ -20,9 +20,7 @@ import (
 	"sync"
 	"time"
 
-	"positres/internal/bitflip"
 	"positres/internal/numfmt"
-	"positres/internal/qcat"
 	"positres/internal/sdrbench"
 	"positres/internal/spec"
 	"positres/internal/stats"
@@ -273,10 +271,12 @@ feed:
 // trial (bit, seq) is keyed by (seed, field, codec, bit, seq); the
 // label-hash prefix is folded once per bit and extended per trial, so
 // the loop body allocates nothing (the per-trial NewRNG + strconv
-// calls used to dominate the allocation profile of a campaign).
+// calls used to dominate the allocation profile of a campaign). Each
+// trial's derived half comes from Deriver.Fill.
 func runBit(cfg Config, codec numfmt.Codec, fieldKey string, data []float64, bit int, out []Trial) {
-	sizer, hasRegime := codec.(numfmt.RegimeSizer)
-	prefix := sdrbench.NewLabelHash(fieldKey, codec.Name(), "bit"+strconv.Itoa(bit))
+	d := NewDeriver(codec)
+	name := codec.Name()
+	prefix := sdrbench.NewLabelHash(fieldKey, name, "bit"+strconv.Itoa(bit))
 	for seq := range out {
 		rng := sdrbench.RNGFromHash(cfg.Seed, prefix.WithInt(seq))
 		idx := rng.Intn(len(data))
@@ -285,31 +285,14 @@ func runBit(cfg Config, codec numfmt.Codec, fieldKey string, data []float64, bit
 				idx = rng.Intn(len(data))
 			}
 		}
-		orig := data[idx]
-
 		tr := &out[seq]
 		tr.Field = fieldKey
-		tr.Codec = codec.Name()
+		tr.Codec = name
 		tr.Bit = bit
 		tr.Seq = seq
 		tr.Index = idx
-		tr.OrigValue = orig
-
-		tr.OrigBits = codec.Encode(orig)
-		tr.ReprValue = codec.Decode(tr.OrigBits)
-		tr.FaultyBits = bitflip.Flip(tr.OrigBits, bit)
-		tr.FaultyVal = codec.Decode(tr.FaultyBits)
-		tr.FieldName = codec.FieldAt(tr.OrigBits, bit)
-		if hasRegime {
-			tr.RegimeK = sizer.RegimeK(tr.OrigBits)
-		} else {
-			tr.RegimeK = 0 // a reused buffer may still hold a posit shard's regime sizes
-		}
-
-		p := qcat.Point(orig, tr.FaultyVal)
-		tr.AbsErr = p.AbsErr
-		tr.RelErr = p.RelErr
-		tr.Catastrophic = p.Catastrophic
+		tr.OrigValue = data[idx]
+		d.Fill(tr)
 	}
 }
 

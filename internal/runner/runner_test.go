@@ -372,6 +372,58 @@ func TestCorruptRecordRecomputed(t *testing.T) {
 	}
 }
 
+// TestVersion2BlockRecordRecomputed resumes over a journal record
+// written by store Version 2, whose block stored every trial column
+// (testdata/v2: positserve's record of the campaign below). The record
+// header, CRC and meta line still parse and name this very shard, but
+// the Version 3 block decoder refuses the block, so the record reads
+// as absent and the shard recomputes to the CSV an uninterrupted run
+// gives.
+func TestVersion2BlockRecordRecomputed(t *testing.T) {
+	cs := &spec.CampaignSpec{
+		Fields:       []string{"CESM/CLOUD"},
+		Formats:      []string{"posit8"},
+		N:            256,
+		TrialsPerBit: 2,
+		Seed:         7,
+		BitsPerShard: 8,
+	}
+	dir := t.TempDir()
+	cfg := testCfg(dir)
+	cfg.Spec = cs
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2", "CESM_CLOUD.posit8.b00-08.rec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := filepath.Glob(filepath.Join(dir, "journal", "*.rec"))
+	if err != nil || len(recs) != 1 || filepath.Base(recs[0]) != "CESM_CLOUD.posit8.b00-08.rec" {
+		t.Fatalf("journal holds %v (err %v), want the one posit8 record", recs, err)
+	}
+	if err := os.WriteFile(recs[0], v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	meta, _, err := readRecord(recs[0])
+	if !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("version 2 record read with error %v, want the block refused as ErrCorrupt", err)
+	}
+	sh := Shard{Spec: Spec{Field: "CESM/CLOUD", Codec: "posit8", N: 256, Seed: 7}, BitLo: 0, BitHi: 8}
+	if meta.Shard != sh || meta.Campaign != paramsOf(core.ConfigFromSpec(cs)) {
+		t.Fatalf("version 2 record meta %+v names another shard or campaign", meta)
+	}
+
+	cfg.Resume = true
+	rep, got := storeRun(t, cfg)
+	if !rep.Complete() || rep.Completed != 1 || rep.Resumed != 0 {
+		t.Fatalf("resume over a version 2 record: %+v, want its shard recomputed", rep)
+	}
+	if want := directCSVs(t, cs); !bytes.Equal(got[0], want[0]) {
+		t.Fatal("CSV differs after recomputing the version 2 record's shard")
+	}
+}
+
 // TestRetryBackoff: transient shard faults are retried with
 // exponential backoff until they clear.
 func TestRetryBackoff(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"positres/internal/chaos"
+	"positres/internal/core"
 	"positres/internal/spec"
 	"positres/internal/store"
 )
@@ -175,12 +176,18 @@ func TestRunShardRejectsCorruptAndTruncatedBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Well-formed, CRC-valid blocks for the wrong shard: half the bit
-	// range, and one row short.
+	// range, and one trial per bit short.
 	wrongRange, err := store.AppendBlock(nil, "CESM/CLOUD", "posit8", 0, 4, good[:4*313])
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongRows, err := store.AppendBlock(nil, "CESM/CLOUD", "posit8", 0, 8, good[1:])
+	var short []core.Trial
+	for _, tr := range good {
+		if tr.Seq < 312 {
+			short = append(short, tr)
+		}
+	}
+	wrongRows, err := store.AppendBlock(nil, "CESM/CLOUD", "posit8", 0, 8, short)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@ package serve
 // query: encode a value (or take a raw pattern), flip one bit, decode,
 // and report the damage. This is one trial of the paper's §4 campaign
 // served interactively; for posit8/posit16 the decode hits the
-// precomputed LUTs in internal/posit, and the pattern-derived half of
-// the answer is LRU-cached per (format, pattern, bit) triple.
+// precomputed LUTs in internal/posit. The pattern-derived half of the
+// answer is core.Deriver.FromPattern — the derivation every campaign
+// trial goes through — LRU-cached per (format, pattern, bit) triple.
 
 import (
 	"encoding/json"
@@ -13,7 +14,7 @@ import (
 	"strconv"
 	"strings"
 
-	"positres/internal/bitflip"
+	"positres/internal/core"
 	"positres/internal/numfmt"
 	"positres/internal/qcat"
 )
@@ -46,8 +47,8 @@ type InjectResponse struct {
 	// BitField names the format field the bit lands in (sign, regime,
 	// exponent, fraction, ...).
 	BitField string `json:"bit_field"`
-	// RegimeK is the posit regime value of the original pattern; 0 for
-	// non-posit formats.
+	// RegimeK is the regime run length k of the original pattern
+	// (paper eq. 1); 0 for non-posit formats.
 	RegimeK int `json:"regime_k"`
 	// OrigValue is the error baseline: the request value when one was
 	// given, else the decoded pattern.
@@ -125,25 +126,25 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		pattern = p
 	}
 
-	info, cached := s.flipInfoFor(codec, pattern, bit)
+	f, cached := s.flipFor(codec, pattern, bit)
 	if req.Value == nil {
-		origValue = info.reprValue
+		origValue = f.ReprValue
 	}
 
 	// The error metrics are value-derived (two inputs rounding to the
 	// same pattern have different baselines), so they are computed per
 	// request from the cached pattern-derived half.
-	p := qcat.Point(origValue, info.faultyVal)
+	p := qcat.Point(origValue, f.FaultyVal)
 	writeJSON(w, http.StatusOK, InjectResponse{
 		Format:       codec.Name(),
 		Bit:          bit,
-		BitField:     info.bitField,
-		RegimeK:      info.regimeK,
+		BitField:     f.FieldName,
+		RegimeK:      f.RegimeK,
 		OrigValue:    JSONFloat(origValue),
-		ReprValue:    JSONFloat(info.reprValue),
+		ReprValue:    JSONFloat(f.ReprValue),
 		OrigBits:     HexBits(pattern),
-		FaultyBits:   HexBits(info.faultyBits),
-		FaultyValue:  JSONFloat(info.faultyVal),
+		FaultyBits:   HexBits(f.FaultyBits),
+		FaultyValue:  JSONFloat(f.FaultyVal),
 		AbsErr:       JSONFloat(p.AbsErr),
 		RelErr:       JSONFloat(p.RelErr),
 		Catastrophic: p.Catastrophic,
@@ -151,23 +152,15 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// flipInfoFor returns the pattern-derived flip answer, consulting the
-// LRU first. The boolean reports whether the answer was served from
-// the cache.
-func (s *Server) flipInfoFor(codec numfmt.Codec, pattern uint64, bit int) (flipInfo, bool) {
+// flipFor returns the pattern-derived flip answer, consulting the LRU
+// first and caching core.Deriver.FromPattern's result on a miss. The
+// boolean reports whether the answer was served from the cache.
+func (s *Server) flipFor(codec numfmt.Codec, pattern uint64, bit int) (core.Flip, bool) {
 	key := cacheKey{format: codec.Name(), pattern: pattern, bit: bit}
-	if info, ok := s.cache.get(key); ok {
-		return info, true
+	if f, ok := s.cache.get(key); ok {
+		return f, true
 	}
-	info := flipInfo{
-		reprValue:  codec.Decode(pattern),
-		faultyBits: bitflip.Flip(pattern, bit),
-		bitField:   codec.FieldAt(pattern, bit),
-	}
-	info.faultyVal = codec.Decode(info.faultyBits)
-	if sizer, ok := codec.(numfmt.RegimeSizer); ok {
-		info.regimeK = sizer.RegimeK(pattern)
-	}
-	s.cache.put(key, info)
-	return info, false
+	f := core.NewDeriver(codec).FromPattern(pattern, bit)
+	s.cache.put(key, f)
+	return f, false
 }

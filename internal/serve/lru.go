@@ -10,6 +10,8 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"positres/internal/core"
 )
 
 // cacheKey identifies one what-if query: a format name, an encoded
@@ -20,20 +22,11 @@ type cacheKey struct {
 	bit     int
 }
 
-// flipInfo is the cached, purely pattern-derived portion of an inject
-// answer. Everything here is a function of (format, pattern, bit)
-// alone, so a cache hit is exact, not approximate.
-type flipInfo struct {
-	reprValue  float64 // decode(pattern): the representable value
-	faultyBits uint64  // pattern XOR (1 << bit)
-	faultyVal  float64 // decode(faultyBits)
-	bitField   string  // sign/regime/exponent/fraction owning the bit
-	regimeK    int     // posit regime run length of pattern (0 for IEEE)
-}
-
-// injectCache is a fixed-capacity LRU over flipInfo entries. Safe for
-// concurrent use; the zero value is not usable, construct with
-// newInjectCache.
+// injectCache is a fixed-capacity LRU over core.Flip entries, the
+// purely pattern-derived portion of an inject answer. A core.Flip is a
+// function of (format, pattern, bit) alone, so a cache hit is exact,
+// not approximate. Safe for concurrent use; the zero value is not
+// usable, construct with newInjectCache.
 type injectCache struct {
 	mu     sync.Mutex
 	cap    int
@@ -46,7 +39,7 @@ type injectCache struct {
 // lruEntry is the list element payload.
 type lruEntry struct {
 	key cacheKey
-	val flipInfo
+	val core.Flip
 }
 
 // newInjectCache returns an LRU holding at most capacity entries
@@ -59,13 +52,13 @@ func newInjectCache(capacity int) *injectCache {
 }
 
 // get returns the cached answer for k, marking it most recently used.
-func (c *injectCache) get(k cacheKey) (flipInfo, bool) {
+func (c *injectCache) get(k cacheKey) (core.Flip, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
 		c.misses++
-		return flipInfo{}, false
+		return core.Flip{}, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
@@ -74,7 +67,7 @@ func (c *injectCache) get(k cacheKey) (flipInfo, bool) {
 
 // put stores the answer for k, evicting the least recently used entry
 // when the cache is full. Storing an existing key refreshes it.
-func (c *injectCache) put(k cacheKey, v flipInfo) {
+func (c *injectCache) put(k cacheKey, v core.Flip) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {

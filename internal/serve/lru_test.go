@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"positres/internal/core"
 )
 
 // TestInjectCacheConcurrent hammers one small LRU from many goroutines
@@ -28,12 +30,12 @@ func TestInjectCacheConcurrent(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				k := cacheKey{format: "posit8", pattern: uint64((g*ops + i) % keySpace), bit: i % 8}
 				if v, ok := c.get(k); ok {
-					if v.faultyBits != k.pattern^1 {
+					if v.FaultyBits != k.pattern^1 {
 						t.Errorf("cache returned wrong entry for %+v: %+v", k, v)
 						return
 					}
 				} else {
-					c.put(k, flipInfo{faultyBits: k.pattern ^ 1})
+					c.put(k, core.Flip{FaultyBits: k.pattern ^ 1})
 				}
 				if i%50 == 0 {
 					c.stats()

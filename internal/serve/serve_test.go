@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"positres/internal/core"
 	"positres/internal/spec"
 	"positres/internal/store"
 )
@@ -482,6 +485,63 @@ func TestRecovery(t *testing.T) {
 			t.Errorf("%s store: republished CSV differs from the original run", damage.name)
 		}
 	}
+
+	// A data dir written by store Version 2 (testdata/v2datadir: the
+	// same campaign, completed by a Version 2 server) holds a store
+	// Open refuses and a journal record whose block no Version 3
+	// decoder reads. The server must treat the store as missing,
+	// recompute the shard the record no longer vouches for, and
+	// republish the CSV this build computes.
+	old := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "v2datadir"), old)
+	const oldID = "0d948d40d84b59d8"
+	oldStore := filepath.Join(old, "jobs", oldID, store.FileName("CESM/CLOUD", "posit8"))
+	if _, err := store.Open(oldStore); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("version 2 fixture store opened with %v, want ErrVersion", err)
+	}
+	srv4, ts4 := newTestServer(t, Config{DataDir: old})
+	waitForState(t, srv4, oldID, "complete")
+	j4, _ := srv4.jobs.get(oldID)
+	got := statusOf(j4)
+	if got.Shards.Done != 1 || got.Shards.Resumed != 0 {
+		t.Errorf("version 2 data dir: shards = %+v, want the one shard recomputed", got.Shards)
+	}
+	if csv4 := fetchCSV(t, ts4.URL+got.Results[0].URL); !bytes.Equal(csv1, csv4) {
+		t.Error("version 2 data dir: republished CSV differs from this build's run")
+	}
+	rd, err := store.Open(oldStore)
+	if err != nil {
+		t.Fatalf("republished store: %v", err)
+	}
+	if err := rd.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyTree copies the regular files under src into dst, keeping their
+// relative paths.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(dst, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), raw, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // fetchCSV downloads a results URL, failing the test on any error.
@@ -546,12 +606,12 @@ func TestValidJobID(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := newInjectCache(2)
 	k := func(i int) cacheKey { return cacheKey{format: "posit8", pattern: uint64(i), bit: 0} }
-	c.put(k(1), flipInfo{regimeK: 1})
-	c.put(k(2), flipInfo{regimeK: 2})
+	c.put(k(1), core.Flip{RegimeK: 1})
+	c.put(k(2), core.Flip{RegimeK: 2})
 	if _, ok := c.get(k(1)); !ok { // touch 1 → 2 becomes LRU
 		t.Fatal("k1 missing")
 	}
-	c.put(k(3), flipInfo{regimeK: 3}) // evicts 2
+	c.put(k(3), core.Flip{RegimeK: 3}) // evicts 2
 	if _, ok := c.get(k(2)); ok {
 		t.Error("k2 survived eviction")
 	}

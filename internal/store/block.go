@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"positres/internal/core"
+	"positres/internal/numfmt"
 )
 
 // The block is the one binary encoding of a shard's trials: a .pts
@@ -18,43 +18,60 @@ import (
 // the shard request or the journal meta supplies it — so every
 // decoder is told which shard it expects and refuses a block that
 // covers another bit range or row count.
+//
+// A block stores only what cannot be recomputed: each row's element
+// index and original value. Every producer appends a shard's rows in
+// (bit, seq) order with the same number of trials per bit, so row i
+// of a block over [bitLo, bitHi) with R rows is bit bitLo + i/t and
+// seq i mod t, where t = R / (bitHi − bitLo); every other column is
+// core.Deriver.Fill of (codec, bit, original value), rebuilt on decode.
+
+// blockColumns is the number of stored columns, written after the
+// block magic: index and orig_value.
+const blockColumns = 2
+
+// blockShape checks a shard shape against codec and returns the
+// codec's Deriver and the trials per bit: the bit range must lie in
+// the codec's width and rows must fill it evenly. Encoder and decoders
+// share it, so a block is written only if it can be read back.
+func blockShape(codec string, bitLo, bitHi, rows int) (core.Deriver, int, error) {
+	c, err := numfmt.Lookup(codec)
+	if err != nil {
+		return core.Deriver{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if bitLo < 0 || bitHi <= bitLo || bitHi > c.Width() {
+		return core.Deriver{}, 0, fmt.Errorf("%w: bit range [%d, %d) outside %d-bit %s", ErrCorrupt, bitLo, bitHi, c.Width(), codec)
+	}
+	if rows < 0 || rows%(bitHi-bitLo) != 0 {
+		return core.Deriver{}, 0, fmt.Errorf("%w: %d rows do not fill bits [%d, %d) evenly", ErrCorrupt, rows, bitLo, bitHi)
+	}
+	return core.NewDeriver(c), rows / (bitHi - bitLo), nil
+}
 
 // AppendBlock appends the block encoding of one shard's trials to dst
 // and returns the extended slice: a length prefix, the payload (magic,
-// column count, bit range, bit-field name table, then each column
-// contiguously) and the payload's CRC-32. Every trial must carry
-// (field, codec) and a bit within [bitLo, bitHi) — the half-open shard
-// range convention internal/runner uses — and the trials may use at
-// most maxNames distinct bit-field names; violations are encoding
-// errors, not silent corruption, and leave dst unchanged.
+// column count, bit range, row count, the index column, then the
+// original values as float64 bit patterns) and the payload's CRC-32.
+// codec must be registered in numfmt, every trial must carry (field,
+// codec), and the trials must fill [bitLo, bitHi) — the half-open
+// shard range convention internal/runner uses — evenly and in (bit,
+// seq) order; violations are encoding errors, not silent corruption,
+// and leave dst unchanged. The derived columns are not stored: a
+// decoder recomputes them.
 func AppendBlock(dst []byte, field, codec string, bitLo, bitHi int, trials []core.Trial) ([]byte, error) {
-	if bitLo < 0 || bitHi <= bitLo || bitHi > math.MaxInt32 {
-		return dst, fmt.Errorf("%w: bit range [%d, %d)", ErrCorrupt, bitLo, bitHi)
+	_, perBit, err := blockShape(codec, bitLo, bitHi, len(trials))
+	if err != nil {
+		return dst, err
 	}
-	// First pass: shard invariants and the block's name vocabulary, in
-	// first-use order. A handful of names (sign, regime, exponent,
-	// fraction, mantissa) cover every format, so a linear scan beats a
-	// map and the table stays on the stack.
-	var nameBuf [8]string
-	names := nameBuf[:0]
 	for i := range trials {
 		tr := &trials[i]
 		if tr.Field != field || tr.Codec != codec {
 			return dst, fmt.Errorf("%w: mixed (field, codec) in one block: (%s, %s) vs (%s, %s)",
 				ErrCorrupt, tr.Field, tr.Codec, field, codec)
 		}
-		if tr.Bit < bitLo || tr.Bit >= bitHi {
-			return dst, fmt.Errorf("%w: trial bit %d outside shard range [%d, %d)",
-				ErrCorrupt, tr.Bit, bitLo, bitHi)
-		}
-		if nameIndex(names, tr.FieldName) < 0 {
-			if len(names) >= maxNames {
-				return dst, fmt.Errorf("%w: more than %d distinct bit-field names", ErrCorrupt, maxNames)
-			}
-			if len(tr.FieldName) > maxStringLen {
-				return dst, fmt.Errorf("%w: bit-field name over %d bytes", ErrCorrupt, maxStringLen)
-			}
-			names = append(names, tr.FieldName)
+		if tr.Bit != bitLo+i/perBit || tr.Seq != i%perBit {
+			return dst, fmt.Errorf("%w: row %d is (bit %d, seq %d), want (bit %d, seq %d)",
+				ErrCorrupt, i, tr.Bit, tr.Seq, bitLo+i/perBit, i%perBit)
 		}
 	}
 
@@ -63,69 +80,20 @@ func AppendBlock(dst []byte, field, codec string, bitLo, bitHi int, trials []cor
 	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
 	p := len(dst)                 // payload start
 	dst = append(dst, blockMagic...)
-	dst = append(dst, byte(len(trialWireHeader)))
+	dst = append(dst, blockColumns)
 	dst = binary.AppendUvarint(dst, uint64(bitLo))
 	dst = binary.AppendUvarint(dst, uint64(bitHi))
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, nm := range names {
-		dst = appendString(dst, nm)
-	}
 	dst = binary.AppendUvarint(dst, uint64(len(trials)))
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, uint64(trials[i].Bit))
-	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, uint64(trials[i].Seq))
-	}
 	for i := range trials {
 		dst = binary.AppendUvarint(dst, uint64(trials[i].Index))
 	}
 	for i := range trials {
-		dst = binary.AppendUvarint(dst, trials[i].OrigBits)
+		dst = appendFixedFloat(dst, trials[i].OrigValue)
 	}
-	for i := range trials {
-		dst = binary.AppendUvarint(dst, trials[i].FaultyBits)
-	}
-	for i := range trials {
-		meta := byte(nameIndex(names, trials[i].FieldName)) << 1
-		if trials[i].Catastrophic {
-			meta |= 1
-		}
-		dst = append(dst, meta)
-	}
-	for i := range trials {
-		dst = binary.AppendVarint(dst, int64(trials[i].RegimeK))
-	}
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.OrigValue })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.ReprValue })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.FaultyVal })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.AbsErr })
-	dst = appendFloatColumn(dst, trials, func(tr *core.Trial) float64 { return tr.RelErr })
 	crc := crc32.ChecksumIEEE(dst[p:])
 	dst = binary.LittleEndian.AppendUint32(dst, crc)
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(dst)-p))
 	return dst, nil
-}
-
-// nameIndex returns the position of name in names, or -1.
-func nameIndex(names []string, name string) int {
-	for j := range names {
-		if names[j] == name {
-			return j
-		}
-	}
-	return -1
-}
-
-// appendFloatColumn appends one float64 column as raw little-endian
-// bit patterns — lossless, including NaN payloads and signed zeros.
-func appendFloatColumn(dst []byte, trials []core.Trial, get func(*core.Trial) float64) []byte {
-	var fixed [8]byte
-	for i := range trials {
-		binary.LittleEndian.PutUint64(fixed[:], math.Float64bits(get(&trials[i])))
-		dst = append(dst, fixed[:]...)
-	}
-	return dst
 }
 
 // DecodeBlock decodes one complete block (exactly the bytes in data)
@@ -164,47 +132,38 @@ func ReadBlock(r io.Reader, field, codec string, bitLo, bitHi, rows int) ([]core
 	return trials, 4 + n, err
 }
 
+// minRowBytes is the fewest payload bytes a row can take: a one-byte
+// index varint and an 8-byte original value.
+const minRowBytes = 1 + 8
+
 // appendDecoded is DecodeBlock appending into dst, so the Reader can
-// reuse one trial slab across blocks.
+// reuse one trial slab across blocks. Each row's derived half is
+// rebuilt through core.Deriver.Fill.
 func appendDecoded(dst []core.Trial, data []byte, field, codec string, bitLo, bitHi, rows int) ([]core.Trial, error) {
-	if bitLo < 0 || bitHi <= bitLo || rows < 0 {
-		return dst, fmt.Errorf("%w: expected shard [%d, %d) with %d rows", ErrCorrupt, bitLo, bitHi, rows)
+	d, perBit, err := blockShape(codec, bitLo, bitHi, rows)
+	if err != nil {
+		return dst, err
 	}
 	payload, err := unwrapFrame(data, blockMagic)
 	if err != nil {
 		return dst, err
 	}
 	c := &cursor{buf: payload}
-	if cols := c.byte(); c.err == nil && int(cols) != len(trialWireHeader) {
-		return dst, fmt.Errorf("%w: block carries %d columns per row, this reader maps %d",
-			ErrCorrupt, cols, len(trialWireHeader))
+	if cols := c.byte(); c.err == nil && cols != blockColumns {
+		return dst, fmt.Errorf("%w: block stores %d columns, this reader reads %d", ErrCorrupt, cols, blockColumns)
 	}
 	lo := c.intv()
 	hi := c.intv()
 	if c.err == nil && (lo != bitLo || hi != bitHi) {
 		c.fail("block bit range [%d, %d), expected [%d, %d)", lo, hi, bitLo, bitHi)
 	}
-	nNames := c.uvarint()
-	if c.err == nil && nNames > maxNames {
-		c.fail("name table of %d entries exceeds %d", nNames, maxNames)
-	}
-	names := make([]string, 0, 8)
-	for i := uint64(0); c.err == nil && i < nNames; i++ {
-		nm := c.str()
-		if c.err == nil && nameIndex(names, nm) >= 0 {
-			c.fail("bit-field name %q listed twice", nm)
-		}
-		names = append(names, nm)
-	}
 	n := c.uvarint()
 	if c.err == nil && n != uint64(rows) {
 		c.fail("block declares %d rows, expected %d", n, rows)
 	}
-	// Each row costs at least 7 varint/meta bytes plus 40 fixed float
-	// bytes across the columns; refuse impossible counts before
-	// allocating.
+	// Refuse impossible counts before allocating.
 	if c.err == nil {
-		if remaining := uint64(len(c.buf) - c.off); n > remaining/47 {
+		if remaining := uint64(len(c.buf) - c.off); n > remaining/minRowBytes {
 			c.fail("%d rows declared, %d payload bytes remain", n, remaining)
 		}
 	}
@@ -218,76 +177,29 @@ func appendDecoded(dst []core.Trial, data []byte, field, codec string, bitLo, bi
 		copy(grown, dst)
 		dst = grown[:base]
 	}
-	// Every field of every row is assigned by the column loops below,
-	// so extending into reused capacity needs no zeroing.
+	// Every field of every row is assigned below, so extending into
+	// reused capacity needs no zeroing.
 	dst = dst[:need]
 	out := dst[base:]
-	for i := range out {
-		tr := &out[i]
-		tr.Field = field
-		tr.Codec = codec
-		tr.Bit = c.intv()
-		if c.err == nil && (tr.Bit < bitLo || tr.Bit >= bitHi) {
-			c.fail("row %d bit %d outside block range [%d, %d)", i, tr.Bit, bitLo, bitHi)
-		}
-	}
-	for i := range out {
-		out[i].Seq = c.intv()
-	}
 	for i := range out {
 		out[i].Index = c.intv()
 	}
 	for i := range out {
-		out[i].OrigBits = c.uvarint()
-	}
-	for i := range out {
-		out[i].FaultyBits = c.uvarint()
-	}
-	// The encoder numbers names in first-use order; anything else
-	// (an index skipping ahead, a name no row uses) is not its output.
-	used := 0
-	for i := range out {
-		meta := c.byte()
-		out[i].Catastrophic = meta&1 != 0
-		idx := int(meta >> 1)
-		if c.err != nil {
-			continue
-		}
-		if idx > used || idx >= len(names) {
-			c.fail("row %d bit-field name index %d out of first-use order (%d of %d named)", i, idx, used, len(names))
-			continue
-		}
-		if idx == used {
-			used++
-		}
-		out[i].FieldName = names[idx]
-	}
-	if c.err == nil && used != len(names) {
-		c.fail("%d of %d bit-field names unused", len(names)-used, len(names))
-	}
-	for i := range out {
-		out[i].RegimeK = c.varint()
-	}
-	for i := range out {
 		out[i].OrigValue = c.float()
-	}
-	for i := range out {
-		out[i].ReprValue = c.float()
-	}
-	for i := range out {
-		out[i].FaultyVal = c.float()
-	}
-	for i := range out {
-		out[i].AbsErr = c.float()
-	}
-	for i := range out {
-		out[i].RelErr = c.float()
 	}
 	if c.err != nil {
 		return dst[:base], c.err
 	}
 	if c.off != len(c.buf) {
 		return dst[:base], fmt.Errorf("%w: %d trailing payload bytes after last column", ErrCorrupt, len(c.buf)-c.off)
+	}
+	for i := range out {
+		tr := &out[i]
+		tr.Field = field
+		tr.Codec = codec
+		tr.Bit = bitLo + i/perBit
+		tr.Seq = i % perBit
+		d.Fill(tr)
 	}
 	return dst, nil
 }

@@ -15,15 +15,16 @@ import (
 // format change, bump Version and rewrite the document's example —
 // never patch the constant to match drifting bytes.
 const docExampleHex = `
-50545343020a64656d6f2f6669656c6406706f7369743845000000505453420f010201086672616374
-696f6e0101000444460002000000000000f83f000000000000f83f000000000000fc3f000000000000
-d03f555555555555c53f337b5616620000005054534684a2e9cb0d0117490101020101010100555555
-555555c53f555555555555c53f555555555555c53f555555555555c53f000000000000d03f00000000
-0000d03f000000000000d03f01086672616374696f6e000000000000f03f0bf0f8a866000000505453
-45`
+50545343030a64656d6f2f6669656c6406706f73697438150000005054534202010201040000000000
+00f83f9f081bdb6100000050545346dca2e3740117190101020101010100555555555555c53f555555
+555555c53f555555555555c53f555555555555c53f000000000000d03f000000000000d03f00000000
+0000d03f01086672616374696f6e000000000000f03fd18cd8126500000050545345`
 
 // docExampleTrial is the trial of docs/STORE.md's example: 1.5 as posit8
 // (0x44), bit 1 flipped to 0x46 → 1.75, a fraction hit at regime k=1.
+// The block stores only its index and original value; Open's reader
+// rebuilds the rest, so the read-back comparison below also pins the
+// derivation against the document's annotations.
 var docExampleTrial = core.Trial{
 	Field: "demo/field", Codec: "posit8",
 	Bit: 1, Seq: 0, Index: 4,

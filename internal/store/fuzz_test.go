@@ -3,33 +3,52 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"positres/internal/core"
+	"positres/internal/numfmt"
 )
 
-// seedTrial returns a tiny hand-built shard for the fuzz seed store.
+// seedTrial returns a tiny shard for the fuzz seeds: two trials on
+// each of posit16 bits 0 and 1, with a NaN and a negative-zero original
+// among them, derived as a campaign derives them.
 func seedTrial() []core.Trial {
-	return []core.Trial{
-		{Field: "CESM/CLOUD", Codec: "posit16", Bit: 0, Seq: 0, Index: 3,
-			OrigValue: 0.5, ReprValue: 0.5, OrigBits: 0x4000, FaultyBits: 0xC000,
-			FaultyVal: -0.5, FieldName: "sign", RegimeK: -1, AbsErr: 1, RelErr: 2},
-		{Field: "CESM/CLOUD", Codec: "posit16", Bit: 1, Seq: 0, Index: 9,
-			OrigValue: 0.25, ReprValue: 0.25, OrigBits: 0x3000, FaultyBits: 0x7000,
-			FaultyVal: 16, FieldName: "regime", RegimeK: -2,
-			AbsErr: 15.75, RelErr: 63, Catastrophic: true},
-		{Field: "CESM/CLOUD", Codec: "posit16", Bit: 1, Seq: 1, Index: 2,
-			OrigValue: math.NaN(), ReprValue: math.NaN(), OrigBits: 0x8000,
-			FaultyBits: 0x8001, FaultyVal: math.NaN(), FieldName: "fraction",
-			RegimeK: 0, AbsErr: math.NaN(), RelErr: math.NaN()},
+	codec, err := numfmt.Lookup("posit16")
+	if err != nil {
+		panic(err)
 	}
+	d := core.NewDeriver(codec)
+	rows := []struct {
+		bit, seq, index int
+		orig            float64
+	}{{0, 0, 3, 0.5}, {0, 1, 9, 0.25}, {1, 0, 2, math.NaN()}, {1, 1, 7, math.Copysign(0, -1)}}
+	trials := make([]core.Trial, len(rows))
+	for i, r := range rows {
+		trials[i] = core.Trial{Field: "CESM/CLOUD", Codec: "posit16", Bit: r.bit, Seq: r.seq, Index: r.index, OrigValue: r.orig}
+		d.Fill(&trials[i])
+	}
+	return trials
 }
+
+// v2SeedBlockHex is seedTrial's shard as store Version 2 encoded it
+// (every column stored, bit-field name table and meta byte included):
+// a CRC-valid block of the right shard whose columns byte, 15, no
+// Version 3 decoder reads.
+const v2SeedBlockHex = `
+e1000000505453420f000202086672616374696f6e06726567696d6504000001010001000103090207
+807080608080020081708160828002020000020302020000000000000000e03f000000000000d03f01
+0000000000f87f0000000000000080000000000000e03f000000000000d03f010000000000f87f0000
+000000000000000000000002e03f000000000002d03f00000000000030c3000000000000b03c000000
+000000303f000000000000203f010000000000f87f000000000000b03c000000000000403f00000000
+0000403f010000000000f87f000000000000f07f84d571d8`
 
 // readWholeFile and writeRawFile keep the fuzz body free of direct os
 // calls at its hot path; test files are exempt from the atomicwrite
@@ -45,10 +64,10 @@ func writeRawFile(path string, data []byte) error {
 // catastrophic row and a NaN error among them.
 func footerSeed() []byte {
 	blocks := []blockInfo{
-		{Offset: 16, Length: 120, Rows: 1, BitLo: 0, BitHi: 1},
-		{Offset: 136, Length: 98, Rows: 2, BitLo: 1, BitHi: 2},
+		{Offset: 16, Length: 34, Rows: 2, BitLo: 0, BitHi: 1},
+		{Offset: 50, Length: 34, Rows: 2, BitLo: 1, BitHi: 2},
 	}
-	return appendFooter(nil, 0xDEADBEEF, blocks, 3, core.AggregateByBit(seedTrial()))
+	return appendFooter(nil, 0xDEADBEEF, blocks, 4, core.AggregateByBit(seedTrial()))
 }
 
 // FuzzFooterIndex hammers parseFooter with corrupted frames: whatever
@@ -161,6 +180,10 @@ type damagedBlock struct {
 // faults, single-bit flips, and CRC-valid encodings AppendBlock never
 // produces.
 func damagedBlocks(good []byte) []damagedBlock {
+	v2Block, err := hex.DecodeString(strings.Join(strings.Fields(v2SeedBlockHex), ""))
+	if err != nil {
+		panic(err)
+	}
 	flip := func(off int) []byte {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0x04
@@ -186,6 +209,7 @@ func damagedBlocks(good []byte) []damagedBlock {
 			return append(append(append([]byte(nil), p[:5]...), 0x80, 0x00), p[6:]...) // bit_lo 0 in two bytes
 		})},
 		{"trailing byte", edit(func(p []byte) []byte { return append(p, 0) })},
+		{"version 2 block", v2Block},
 	}
 }
 
@@ -198,10 +222,10 @@ func TestDecodeDamagedBlocks(t *testing.T) {
 	}
 	for _, tc := range damagedBlocks(good) {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeBlock(tc.data, "CESM/CLOUD", "posit16", 0, 2, 3); !errors.Is(err, ErrCorrupt) {
+			if _, err := DecodeBlock(tc.data, "CESM/CLOUD", "posit16", 0, 2, 4); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("DecodeBlock: %v, want ErrCorrupt", err)
 			}
-			if _, _, err := ReadBlock(bytes.NewReader(tc.data), "CESM/CLOUD", "posit16", 0, 2, 3); !errors.Is(err, ErrCorrupt) {
+			if _, _, err := ReadBlock(bytes.NewReader(tc.data), "CESM/CLOUD", "posit16", 0, 2, 4); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("ReadBlock: %v, want ErrCorrupt", err)
 			}
 		})
@@ -219,13 +243,14 @@ func FuzzDecodeBlock(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good, 0, 2, 3)
+	f.Add(good, 0, 2, 4)
 	for _, d := range damagedBlocks(good) {
-		f.Add(d.data, 0, 2, 3)
+		f.Add(d.data, 0, 2, 4)
 	}
 	// A well-formed block for the wrong shard.
-	f.Add(good, 0, 3, 3)
+	f.Add(good, 0, 3, 6)
 	f.Add(good, 0, 2, 1<<40)
+	f.Add(good, 0, 64, 64)
 	f.Fuzz(func(t *testing.T, data []byte, bitLo, bitHi, rows int) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -1,9 +1,10 @@
 // Package store implements the append-only columnar trial store — the
 // on-disk format that lets a campaign outgrow memory — and the block,
 // the one binary encoding of a shard's trials. A .pts file holds every
-// trial of one (field, codec) pair as one block per shard (varints for
-// the integer columns, raw little-endian float64 bit patterns for the
-// value columns), followed by a CRC-guarded footer that indexes the
+// trial of one (field, codec) pair as one block per shard — each row's
+// element index as a varint and its original value as a raw
+// little-endian float64 bit pattern, the only two columns a trial
+// cannot recompute — followed by a CRC-guarded footer that indexes the
 // blocks and carries each bit's core.AggregateByBit result, computed
 // once per shard at append time (a bit's trials all arrive in one
 // shard), so a summary is O(bits) regardless of trial count. The same
@@ -18,9 +19,11 @@
 // source of truth and a resumed campaign simply rebuilds the store
 // from replayed shards.
 //
-// Reading back is lossless by construction: every float column stores
-// the exact bit pattern, so RenderCSV reproduces core.WriteTrialsCSV
-// byte for byte (pinned by test), and the per-bit aggregates off the
+// Reading back is lossless by construction: the original keeps its
+// exact bit pattern and every other column is rebuilt by
+// core.Deriver.Fill, the function the campaign computed it with, so
+// RenderCSV reproduces core.WriteTrialsCSV byte for byte (pinned by
+// test for every registered codec), and the per-bit aggregates off the
 // footer are core.AggregateByBit over the same trials, bit for bit,
 // exact medians included (Reader.Verify recomputes them).
 package store
@@ -37,7 +40,7 @@ import (
 // rejects every other value with ErrVersion — compatibility is
 // all-or-nothing per file (docs/STORE.md, "Compatibility policy"): a
 // reader never guesses at a layout.
-const Version = 2
+const Version = 3
 
 // The four magics that structure a .pts file. Each spells its role so
 // a hex dump is self-describing and a mis-routed payload fails fast.
@@ -56,12 +59,12 @@ const Ext = ".pts"
 // enough to refuse a corrupted length before allocating for it.
 const MaxBlockBytes = 1 << 30
 
-// maxStringLen bounds each packed string (bit-field names, the header
-// field/codec pair); real values are tens of bytes.
+// maxStringLen bounds each packed string (the header field/codec
+// pair, the footer's bit-field names); real values are tens of bytes.
 const maxStringLen = 1 << 16
 
-// maxNames bounds a block's bit-field name table: a row addresses its
-// name with 7 bits of the meta byte.
+// maxNames bounds a footer aggregate's field-share table; a format has
+// at most four bit fields.
 const maxNames = 128
 
 // Decode errors, one per failure class, matched with errors.Is. A
@@ -79,17 +82,6 @@ var (
 	// already sealed or aborted its file.
 	ErrSealed = errors.New("store: writer already sealed")
 )
-
-// trialWireHeader is the logical column list of one trial row, in
-// block column order. It deliberately mirrors core's CSV trialHeader
-// — positlint's csvheader rule cross-checks both registries against
-// core.Trial, so adding a Trial field without extending the block
-// encoding fails tier-1.
-var trialWireHeader = []string{
-	"field", "codec", "bit", "seq", "index",
-	"orig_value", "repr_value", "orig_bits", "faulty_bits", "faulty_value",
-	"bit_field", "regime_k", "abs_err", "rel_err", "catastrophic",
-}
 
 // FileName returns the store file name for one (field, codec) pair —
 // the same sanitization the CSV result files use (slashes in dataset
@@ -148,20 +140,6 @@ func (c *cursor) uvarint() uint64 {
 	}
 	c.off += n
 	return v
-}
-
-// varint reads one zigzag varint as an int.
-func (c *cursor) varint() int {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.buf[c.off:])
-	if n <= 0 || (n > 1 && c.buf[c.off+n-1] == 0) {
-		c.fail("bad varint")
-		return 0
-	}
-	c.off += n
-	return int(v)
 }
 
 // intv reads a uvarint that must fit a non-negative int32-sized int.

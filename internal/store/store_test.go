@@ -71,42 +71,58 @@ func writeStore(t testing.TB, path, field, codecName string, trials []core.Trial
 	}
 }
 
-// TestRoundTrip pins losslessness: a store read back in assembly
-// order reproduces every Trial bit for bit.
+// TestRoundTrip pins losslessness for every registered codec: a store
+// read back in assembly order reproduces every Trial bit for bit, the
+// derived columns rebuilt from each row's stored index and original.
 func TestRoundTrip(t *testing.T) {
-	trials := genTrials(t, "CESM/CLOUD", "posit16", 400, 7, 0, 16)
-	path := filepath.Join(t.TempDir(), FileName("CESM/CLOUD", "posit16"))
-	writeStore(t, path, "CESM/CLOUD", "posit16", trials, 0, 16, 4)
+	for _, name := range numfmt.Names() {
+		t.Run(name, func(t *testing.T) {
+			width := mustWidth(t, name)
+			trials := genTrials(t, "CESM/CLOUD", name, 400, 7, 0, width)
+			path := filepath.Join(t.TempDir(), FileName("CESM/CLOUD", name))
+			writeStore(t, path, "CESM/CLOUD", name, trials, 0, width, 4)
 
-	r, err := Open(path)
+			r, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.Field() != "CESM/CLOUD" || r.Codec() != name {
+				t.Fatalf("identity (%s, %s)", r.Field(), r.Codec())
+			}
+			if r.Rows() != uint64(len(trials)) {
+				t.Fatalf("rows %d, want %d", r.Rows(), len(trials))
+			}
+			if r.Blocks() != width/4 {
+				t.Fatalf("blocks %d, want %d", r.Blocks(), width/4)
+			}
+			got, err := r.Trials()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(trials) {
+				t.Fatalf("decoded %d trials, want %d", len(got), len(trials))
+			}
+			for i := range got {
+				if !sameTrial(&got[i], &trials[i]) {
+					t.Fatalf("trial %d: got %+v, want %+v", i, got[i], trials[i])
+				}
+			}
+			if err := r.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// mustWidth returns the bit width of a registered codec.
+func mustWidth(t testing.TB, name string) int {
+	t.Helper()
+	codec, err := numfmt.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.Field() != "CESM/CLOUD" || r.Codec() != "posit16" {
-		t.Fatalf("identity (%s, %s)", r.Field(), r.Codec())
-	}
-	if r.Rows() != uint64(len(trials)) {
-		t.Fatalf("rows %d, want %d", r.Rows(), len(trials))
-	}
-	if r.Blocks() != 4 {
-		t.Fatalf("blocks %d, want 4", r.Blocks())
-	}
-	got, err := r.Trials()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(trials) {
-		t.Fatalf("decoded %d trials, want %d", len(got), len(trials))
-	}
-	for i := range got {
-		if !sameTrial(&got[i], &trials[i]) {
-			t.Fatalf("trial %d: got %+v, want %+v", i, got[i], trials[i])
-		}
-	}
-	if err := r.Verify(); err != nil {
-		t.Fatal(err)
-	}
+	return codec.Width()
 }
 
 // sameTrial compares every field, floats by bit pattern so NaNs and
@@ -125,51 +141,55 @@ func sameTrial(a, b *core.Trial) bool {
 		a.Catastrophic == b.Catastrophic
 }
 
-// TestRenderCSVByteIdentical pins the tentpole invariant: the store's
-// streamed CSV equals core.WriteTrialsCSV over the same trials, byte
-// for byte, even when shards were appended out of bit order.
+// TestRenderCSVByteIdentical pins the store's contract for every
+// registered codec: the streamed CSV equals core.WriteTrialsCSV over
+// the same trials, byte for byte, even when shards were appended out
+// of bit order. It is what ties the block to core.Trial: a Trial field
+// the block neither stores nor rebuilds shows up here as a CSV
+// mismatch.
 func TestRenderCSVByteIdentical(t *testing.T) {
-	trials := genTrials(t, "HACC/vx", "posit16", 400, 6, 0, 16)
-	path := filepath.Join(t.TempDir(), FileName("HACC/vx", "posit16"))
+	for _, name := range numfmt.Names() {
+		t.Run(name, func(t *testing.T) {
+			width := mustWidth(t, name)
+			trials := genTrials(t, "HACC/vx", name, 400, 6, 0, width)
+			path := filepath.Join(t.TempDir(), FileName("HACC/vx", name))
 
-	// Append shards in scrambled completion order, as a parallel
-	// campaign would.
-	w, err := NewWriter(path, "HACC/vx", "posit16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Abort()
-	for _, rng := range [][2]int{{8, 12}, {0, 4}, {12, 16}, {4, 8}} {
-		var shard []core.Trial
-		for i := range trials {
-			if trials[i].Bit >= rng[0] && trials[i].Bit < rng[1] {
-				shard = append(shard, trials[i])
+			// Append 4-bit shards in scrambled completion order, as a
+			// parallel campaign would.
+			w, err := NewWriter(path, "HACC/vx", name)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := w.AppendShard(rng[0], rng[1], shard); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Seal(); err != nil {
-		t.Fatal(err)
-	}
+			defer w.Abort()
+			shards := width / 4
+			for i := 0; i < shards; i++ {
+				lo := (i*3 + 2) % shards * 4
+				if err := w.AppendShard(lo, lo+4, shardOf(trials, lo, lo+4)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Seal(); err != nil {
+				t.Fatal(err)
+			}
 
-	var direct bytes.Buffer
-	if err := core.WriteTrialsCSV(&direct, trials); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var rendered bytes.Buffer
-	if err := r.RenderCSV(&rendered); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct.Bytes(), rendered.Bytes()) {
-		t.Fatalf("rendered CSV differs from direct path: %d vs %d bytes",
-			rendered.Len(), direct.Len())
+			var direct bytes.Buffer
+			if err := core.WriteTrialsCSV(&direct, trials); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			var rendered bytes.Buffer
+			if err := r.RenderCSV(&rendered); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(direct.Bytes(), rendered.Bytes()) {
+				t.Fatalf("rendered CSV differs from direct path: %d vs %d bytes",
+					rendered.Len(), direct.Len())
+			}
+		})
 	}
 }
 
@@ -228,10 +248,15 @@ func mustSameAggs(t *testing.T, got, want []core.BitAgg) {
 }
 
 // TestWriterRejectsShardViolations pins the append-time validation:
-// wrong identity, out-of-range bits and use-after-seal all fail
-// without corrupting the file.
+// wrong identity, out-of-range bits, a row count that does not fill the
+// range evenly, rows out of (bit, seq) order and use-after-seal all
+// fail without corrupting the file, and an unknown codec never gets a
+// writer.
 func TestWriterRejectsShardViolations(t *testing.T) {
 	dir := t.TempDir()
+	if _, err := NewWriter(filepath.Join(dir, "u.pts"), "CESM/CLOUD", "posit17"); err == nil {
+		t.Fatal("NewWriter accepted a codec numfmt does not know")
+	}
 	trials := genTrials(t, "CESM/CLOUD", "posit16", 200, 2, 0, 4)
 	w, err := NewWriter(filepath.Join(dir, "x.pts"), "CESM/CLOUD", "posit16")
 	if err != nil {
@@ -241,11 +266,22 @@ func TestWriterRejectsShardViolations(t *testing.T) {
 	if err := w.AppendShard(4, 8, trials); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("out-of-range bits: %v", err)
 	}
+	if err := w.AppendShard(12, 20, genTrials(t, "CESM/CLOUD", "posit16", 200, 1, 12, 16)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("range past the codec width: %v", err)
+	}
 	wrong := make([]core.Trial, 1)
 	wrong[0] = trials[0]
 	wrong[0].Codec = "ieee32"
-	if err := w.AppendShard(0, 4, wrong); !errors.Is(err, ErrCorrupt) {
+	if err := w.AppendShard(0, 1, wrong); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mixed codec: %v", err)
+	}
+	if err := w.AppendShard(0, 4, trials[1:]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%d rows over 4 bits: %v", len(trials)-1, err)
+	}
+	swapped := append([]core.Trial(nil), trials...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	if err := w.AppendShard(0, 4, swapped); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rows out of (bit, seq) order: %v", err)
 	}
 	// Rejected appends must leave the writer usable: the shard was
 	// refused before any byte hit the file.

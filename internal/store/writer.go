@@ -9,6 +9,7 @@ import (
 
 	"positres/internal/atomicio"
 	"positres/internal/core"
+	"positres/internal/numfmt"
 )
 
 // blockInfo is one footer index entry: where a block's bytes live and
@@ -50,10 +51,15 @@ type Writer struct {
 var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // NewWriter opens a pending store file at path for one (field, codec)
-// pair and writes its header. Callers must finish with Seal or Abort.
+// pair and writes its header. codec must be registered in numfmt: a
+// store holds only what a reader can recompute the rest of a trial
+// from. Callers must finish with Seal or Abort.
 func NewWriter(path, field, codec string) (*Writer, error) {
 	if len(field) > maxStringLen || len(codec) > maxStringLen {
 		return nil, fmt.Errorf("%w: field/codec name over %d bytes", ErrCorrupt, maxStringLen)
+	}
+	if _, err := numfmt.Lookup(codec); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	pf, err := atomicio.Create(path)
 	if err != nil {
@@ -93,8 +99,9 @@ func (w *Writer) Rows() uint64 {
 // aggregates them with core.AggregateByBit, both before taking the
 // writer's lock, so appends of different shards run in parallel; the
 // lock covers only the file write, the block index and installing the
-// aggregates. Every trial must carry the writer's (field, codec) and a bit
-// within [bitLo, bitHi), and the range must not overlap a shard
+// aggregates. The trials must carry the writer's (field, codec) and
+// fill [bitLo, bitHi) evenly in (bit, seq) order (AppendBlock), and
+// the range must not overlap a shard
 // already appended: each bit's rows come from exactly one shard. A
 // shard that violates this is refused with ErrCorrupt before any byte
 // reaches the file. A failed write spends the writer: further appends
