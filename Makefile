@@ -108,7 +108,10 @@ bench-compare:
 # Bounded-memory columnar-store equivalence check (docs/STORE.md): a
 # 10⁷-trial campaign streamed shard-by-shard into a .pts store under a
 # small GOMEMLIMIT, its rendered CSV SHA-256-compared against the
-# direct encoder and its footer aggregates schema-validated.
+# direct encoder, its footer aggregates schema-validated, and its peak
+# RSS required to stay below half of what its trials would take
+# materialized: memory is set by a few shard-sized buffers, not by the
+# campaign.
 store-smoke:
 	GOMEMLIMIT=256MiB $(GO) run ./cmd/positstore smoke \
 		-format posit16 -n 1000000 -trials 625000 -bits-per-shard 1

@@ -21,9 +21,8 @@ import (
 // (trialHeader → Trial), resolved through the fact index so the
 // registry and the struct may live in different packages. A
 // `<x>WireHeader` registry with no `<X>Wire` struct falls back to
-// `<X>` (trialWireHeader → Trial): the store's binary block encoder
-// keeps its own copy of the column registry, and it must mirror the
-// same struct. The rule fires when:
+// `<X>` (trialWireHeader → Trial), so a binary encoder's own copy of
+// a column registry must mirror the same struct. The rule fires when:
 //
 //   - the registry length differs from the struct's named field count
 //     (a field was added or removed without updating the header);
@@ -33,9 +32,9 @@ import (
 //     composite literal of the struct counts as referencing every
 //     field (the compiler already enforces arity there);
 //   - two registries anywhere in the repo mirror the same struct but
-//     disagree elementwise (core.trialHeader vs store.trialWireHeader)
-//     — the CSV rendering and the binary block would then order or
-//     name columns differently, which no per-registry check can see.
+//     disagree elementwise (a trialHeader vs a trialWireHeader) — a
+//     CSV rendering and a binary encoding would then order or name
+//     columns differently, which no per-registry check can see.
 //
 // Functions that reference the struct without the header (business
 // logic) or the header without fields (writing the header row) are
@@ -112,9 +111,7 @@ func (r *CSVHeader) Check(pass *Pass) []Diagnostic {
 // repo that mirrors the same struct: a CSV header and a block header
 // serializing one struct must agree column for column, or the two
 // encodings of the same data diverge. Each unordered pair is reported
-// once, anchored at the registry with the greater "pkg.name" key (the
-// store copy, in the core-vs-store case — the derived registry follows
-// the canonical one).
+// once, anchored at the registry with the greater "pkg.name" key.
 func (r *CSVHeader) checkSiblings(pass *Pass, fact *StringListFact, sf *StructFact) []Diagnostic {
 	var out []Diagnostic
 	key := fact.Pkg + "." + fact.Name

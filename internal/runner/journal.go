@@ -33,7 +33,9 @@ import (
 //	         trials as one store block (store.AppendBlock).
 //
 // A record with any other magic (a PJR1 record, whose trials were
-// CSV) fails to parse and is recomputed like a torn one.
+// CSV) fails to parse and is recomputed like a torn one, and so does a
+// PJR2 record whose block an older store version wrote: the block
+// decoder refuses any layout but its own.
 const recordMagic = "PJR2"
 
 // recordMeta is the self-describing header of a journal record.

@@ -8,7 +8,8 @@
 # with an informational trajectory print against the committed
 # baseline), the store fuzz smokes, the bounded-memory
 # columnar-store smoke (a 10⁷-trial campaign under GOMEMLIMIT whose
-# store-rendered CSV must hash identically to the direct encoder), the
+# store-rendered CSV must hash identically to the direct encoder and
+# whose peak RSS must stay below half its materialized trials), the
 # positload chaos smoke, the short test suite, the race-detector pass,
 # and the e2e battery — kill-and-resume campaign, kill-and-restart
 # positserve, dead-worker cluster fan-out, and the chaos-and-soak load
@@ -103,7 +104,7 @@ $GO test -run '^$' -fuzz FuzzDecodeBlock -fuzztime 5s ./internal/store/
 $GO test -run '^$' -fuzz FuzzFooterIndex -fuzztime 5s ./internal/store/
 $GO test -run '^$' -fuzz FuzzOpen -fuzztime 5s ./internal/store/
 
-banner "store smoke: 10M-trial campaign, bounded memory, CSV byte-identical"
+banner "store smoke: 10M trials, CSV byte-identical; memory set by a few shard-sized buffers (peak RSS < half the materialized trials), not by the campaign"
 GOMEMLIMIT=256MiB $GO run ./cmd/positstore smoke \
 	-format posit16 -n 1000000 -trials 625000 -bits-per-shard 1
 
