@@ -101,9 +101,9 @@ bench-json:
 	$(GO) run ./cmd/positbench -out BENCH_PR10.json
 
 # Informational perf trajectory: rerun the suite and print it next to
-# the previous PR's committed baseline (never fails on numbers).
+# the newest committed baseline (never fails on numbers).
 bench-compare:
-	$(GO) run ./cmd/positbench -compare BENCH_PR9.json
+	$(GO) run ./cmd/positbench -compare BENCH_PR10.json
 
 # Bounded-memory columnar-store equivalence check (docs/STORE.md): a
 # 10⁷-trial campaign streamed shard-by-shard into a .pts store under a

@@ -63,9 +63,17 @@ var errBufs = sync.Pool{New: func() any { return new([]float64) }}
 // non-catastrophic ones.
 type aggFold struct {
 	trials, catastrophic int
-	fields               map[string]int
+	fields               []fieldCount // one entry per field name seen, in first-seen order
 	rel, abs             stats.Moments
 	rels, abss           []float64
+}
+
+// fieldCount tallies the trials of one field name. A codec has at most
+// four fields, so a linear scan of a fold's few entries is cheaper
+// than hashing the name of every trial into a map.
+type fieldCount struct {
+	name string
+	n    int
 }
 
 // foldBy folds trials into one aggFold per key in two passes over runs
@@ -80,7 +88,7 @@ func foldBy[K comparable](trials []Trial, key func(*Trial) K, scratch *[]float64
 		k := key(&trials[i])
 		f := folds[k]
 		if f == nil {
-			f = &aggFold{fields: map[string]int{}, rel: stats.NewMoments(), abs: stats.NewMoments()}
+			f = &aggFold{fields: make([]fieldCount, 0, 4), rel: stats.NewMoments(), abs: stats.NewMoments()}
 			folds[k] = f
 		}
 		for ; i < len(trials) && key(&trials[i]) == k; i++ {
@@ -111,10 +119,21 @@ func foldBy[K comparable](trials []Trial, key func(*Trial) K, scratch *[]float64
 // attribution, and catastrophic ones are set apart.
 func (f *aggFold) count(tr *Trial) {
 	f.trials++
-	f.fields[tr.FieldName]++
+	f.tally(tr.FieldName)
 	if tr.Catastrophic {
 		f.catastrophic++
 	}
+}
+
+// tally counts one trial toward its field name.
+func (f *aggFold) tally(name string) {
+	for i := range f.fields {
+		if f.fields[i].name == name {
+			f.fields[i].n++
+			return
+		}
+	}
+	f.fields = append(f.fields, fieldCount{name: name, n: 1})
 }
 
 // measure folds one trial's errors in; only non-catastrophic trials
@@ -134,8 +153,8 @@ func (f *aggFold) measure(tr *Trial) {
 func (f *aggFold) agg(bit int) BitAgg {
 	a := BitAgg{Bit: bit, Trials: f.trials, Catastrophic: f.catastrophic,
 		FieldShare: make(map[string]float64, len(f.fields))}
-	for name, n := range f.fields {
-		a.FieldShare[name] = float64(n) / float64(f.trials)
+	for _, c := range f.fields {
+		a.FieldShare[c.name] = float64(c.n) / float64(f.trials)
 	}
 	if len(f.rels) == 0 {
 		nan := math.NaN()

@@ -26,9 +26,11 @@ type Flip struct {
 
 // Deriver computes derived halves for one codec. It resolves the
 // codec's numfmt.RegimeSizer once, so a loop over many rows pays for
-// the type assertion once. The zero value is not usable; construct
-// with NewDeriver. A Deriver is a small value, safe for concurrent use
-// because codecs are.
+// the type assertion once, and takes a posit flip's field and regime
+// run length k from the sizer's one FieldAndRegimeK call, which
+// decomposes the pattern once for both. The zero value is not usable;
+// construct with NewDeriver. A Deriver is a small value, safe for
+// concurrent use because codecs are.
 type Deriver struct {
 	codec numfmt.Codec
 	sizer numfmt.RegimeSizer // nil for formats without a regime
@@ -46,11 +48,12 @@ func (d Deriver) FromPattern(pattern uint64, bit int) Flip {
 	f := Flip{
 		ReprValue:  d.codec.Decode(pattern),
 		FaultyBits: bitflip.Flip(pattern, bit),
-		FieldName:  d.codec.FieldAt(pattern, bit),
 	}
 	f.FaultyVal = d.codec.Decode(f.FaultyBits)
 	if d.sizer != nil {
-		f.RegimeK = d.sizer.RegimeK(pattern)
+		f.FieldName, f.RegimeK = d.sizer.FieldAndRegimeK(pattern, bit)
+	} else {
+		f.FieldName = d.codec.FieldAt(pattern, bit)
 	}
 	return f
 }

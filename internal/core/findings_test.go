@@ -7,7 +7,10 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
+
+	"positres/internal/qcat"
 )
 
 // runPair runs a small campaign on a field with both formats.
@@ -164,6 +167,113 @@ func TestFinding6BelowOneRelErrNearOne(t *testing.T) {
 			if tr.RelErr > 1.01 {
 				t.Fatalf("below-one R_k flip rel err %v > 1: %+v", tr.RelErr, tr)
 			}
+		}
+	}
+}
+
+// eachPositivePattern runs visit over every positive pattern of a
+// posit codec except 1, with its value, the relative error of the
+// flip of each bit (qcat.Point against the decoded pattern) and the
+// position rk of its terminating regime bit R_k, or -1 when the run
+// fills the payload and there is no R_k. rk is N-2-k for the fused
+// RegimeK, and the test fails unless FieldName agrees: R_k is the
+// lowest bit of the regime field.
+func eachPositivePattern(t *testing.T, name string, visit func(pattern uint64, v float64, rel []float64, rk int)) {
+	t.Helper()
+	codec := mustCodec(t, name)
+	d := NewDeriver(codec)
+	n := codec.Width()
+	rel := make([]float64, n)
+	for p := uint64(1); p < 1<<uint(n-1); p++ {
+		var v float64
+		lowest, k := n, 0 // lowest regime bit, regime run length
+		for bit := 0; bit < n; bit++ {
+			f := d.FromPattern(p, bit)
+			v, k = f.ReprValue, f.RegimeK
+			rel[bit] = qcat.Point(v, f.FaultyVal).RelErr
+			if f.FieldName == "regime" && bit < lowest {
+				lowest = bit
+			}
+		}
+		rk := n - 2 - k
+		if k == n-1 {
+			rk = -1 // a run of N-1 identical bits has no terminating bit
+		} else if lowest != rk {
+			t.Fatalf("%s %#x: RegimeK %d puts R_k at bit %d, the regime field ends at bit %d", name, p, k, rk, lowest)
+		}
+		if v != 1 {
+			visit(p, v, rel, rk)
+		}
+	}
+}
+
+// TestFinding5RkWorstAboveOneExhaustive restates Finding 5 (§5.4.1,
+// Fig. 11) on every positive posit8 and posit16 pattern above 1: the
+// flip of the terminating regime bit R_k has the largest finite
+// relative error of the pattern's N flips. The one exception in each
+// format is maxpos, whose regime run fills the payload, so it has no
+// R_k.
+func TestFinding5RkWorstAboveOneExhaustive(t *testing.T) {
+	for _, c := range []struct {
+		codec      string
+		patterns   int
+		exceptions []uint64
+	}{
+		{"posit8", 63, []uint64{0x7f}},
+		{"posit16", 16383, []uint64{0x7fff}},
+	} {
+		var exceptions []uint64
+		patterns := 0
+		eachPositivePattern(t, c.codec, func(p uint64, v float64, rel []float64, rk int) {
+			if v < 1 {
+				return
+			}
+			patterns++
+			if rk < 0 {
+				exceptions = append(exceptions, p)
+				return
+			}
+			for bit, e := range rel {
+				if !math.IsInf(e, 0) && e > rel[rk] {
+					t.Logf("%s %#x (%g): bit %d rel err %g beats R_k (bit %d) %g", c.codec, p, v, bit, e, rk, rel[rk])
+					exceptions = append(exceptions, p)
+					return
+				}
+			}
+		})
+		if patterns != c.patterns || !slices.Equal(exceptions, c.exceptions) {
+			t.Errorf("%s: %d patterns above 1, exceptions %#x; want %d, %#x", c.codec, patterns, exceptions, c.patterns, c.exceptions)
+		}
+	}
+}
+
+// TestFinding6RkBelowOneExhaustive restates Finding 6 (§5.4.2,
+// Fig. 14) on every positive posit8 and posit16 pattern below 1: the
+// R_k flip's relative error is at most 1, because it lengthens the run
+// of zeros and shrinks the value. Every such pattern has an R_k (its
+// run of zeros ends in a one, at bit 0 for minpos), and none is an
+// exception.
+func TestFinding6RkBelowOneExhaustive(t *testing.T) {
+	for _, c := range []struct {
+		codec    string
+		patterns int
+	}{
+		{"posit8", 63},
+		{"posit16", 16383},
+	} {
+		var exceptions []uint64
+		patterns := 0
+		eachPositivePattern(t, c.codec, func(p uint64, v float64, rel []float64, rk int) {
+			if v > 1 {
+				return
+			}
+			patterns++
+			if rk < 0 || rel[rk] > 1 {
+				exceptions = append(exceptions, p)
+			}
+		})
+		if patterns != c.patterns || len(exceptions) != 0 {
+			t.Errorf("%s: %d patterns below 1, exceptions %#x; want %d, none", c.codec, patterns, exceptions, c.patterns)
 		}
 	}
 }

@@ -33,10 +33,16 @@ type Codec interface {
 	IsSpecial(bits uint64) bool
 }
 
-// RegimeSizer is implemented by posit codecs: it exposes the regime
-// run length k (paper eq. 1) used to bucket campaign results.
+// RegimeSizer is implemented by posit codecs, whose field boundaries
+// move with the pattern: it exposes the regime run length k (paper
+// eq. 1) used to bucket campaign results.
 type RegimeSizer interface {
+	// RegimeK returns k of the pattern (0 for zero and NaR).
 	RegimeK(bits uint64) int
+	// FieldAndRegimeK returns FieldAt(bits, pos) and RegimeK(bits)
+	// from one decomposition of the pattern; core.Deriver derives
+	// every posit trial with this one call.
+	FieldAndRegimeK(bits uint64, pos int) (string, int)
 }
 
 // PositCodec adapts a posit configuration to the Codec interface.
@@ -79,7 +85,16 @@ func (c *PositCodec) FieldAt(b uint64, pos int) string {
 func (c *PositCodec) IsSpecial(b uint64) bool { return c.Cfg.Canon(b) == c.Cfg.NaR() }
 
 // RegimeK implements RegimeSizer.
-func (c *PositCodec) RegimeK(b uint64) int { return posit.DecodeFields(c.Cfg, b).K }
+func (c *PositCodec) RegimeK(b uint64) int {
+	_, k := posit.FieldAndRegimeK(c.Cfg, b, c.Cfg.N-1)
+	return k
+}
+
+// FieldAndRegimeK implements RegimeSizer.
+func (c *PositCodec) FieldAndRegimeK(b uint64, pos int) (string, int) {
+	f, k := posit.FieldAndRegimeK(c.Cfg, b, pos)
+	return f.String(), k
+}
 
 // IEEECodec adapts an IEEE-754 format to the Codec interface.
 type IEEECodec struct {

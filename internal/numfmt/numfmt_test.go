@@ -62,6 +62,11 @@ func TestPositCodec(t *testing.T) {
 	if k := rs.RegimeK(c.Encode(186.25)); k != 2 {
 		t.Errorf("RegimeK(186.25) = %d", k)
 	}
+	for pos := 0; pos < 32; pos++ {
+		if f, k := rs.FieldAndRegimeK(b, pos); f != c.FieldAt(b, pos) || k != 2 {
+			t.Errorf("FieldAndRegimeK(186.25, %d) = (%s, %d), want (%s, 2)", pos, f, k, c.FieldAt(b, pos))
+		}
+	}
 }
 
 func TestIEEECodec(t *testing.T) {

@@ -54,6 +54,13 @@ func EncodeFloat64(cfg Config, x float64) uint64 {
 // further nonzero bits were discarded below the tail. It performs the
 // standard saturation and round-to-nearest-even. The result always has
 // a clear sign bit.
+//
+// The payload stream — regime, ES exponent bits, tail — is built in a
+// 128-bit word hi:lo without a loop: the exponent and tail (at most
+// 68 bits) start left-aligned and shift right past the regime, whose
+// run then fills the top. The regime takes 2 to N-1 bits, so the
+// stream can run up to 3 bits past 128; every bit shifted out counts
+// toward sticky.
 func assemble(cfg Config, h int, tail uint64, stickyIn bool) uint64 {
 	maxScale := cfg.MaxScale()
 	if h >= maxScale {
@@ -63,70 +70,31 @@ func assemble(cfg Config, h int, tail uint64, stickyIn bool) uint64 {
 		return cfg.MinPosBits()
 	}
 
-	r := h >> uint(cfg.ES)               // regime value (floor division)
-	e := uint64(h - (r << uint(cfg.ES))) // exponent in [0, 2^ES)
-
-	// Build the payload stream MSB-first in a 128-bit accumulator
-	// (hi, lo), left-aligned at bit 127 of hi:lo:
-	//   regime bits ++ ES exponent bits ++ significand tail
-	var hi, lo uint64
-	var streamLen int // number of stream bits produced
-
-	pushBits := func(v uint64, width int) {
-		// Append the low `width` bits of v to the stream.
-		for width > 0 {
-			take := width
-			space := 128 - streamLen
-			if take > space {
-				take = space
-			}
-			if take <= 0 {
-				return
-			}
-			chunk := (v >> uint(width-take)) & maskN(take)
-			// Place chunk so its MSB lands at stream bit (127-streamLen).
-			shift := 128 - streamLen - take
-			if shift >= 64 {
-				hi |= chunk << uint(shift-64)
-			} else {
-				hi |= chunk >> uint(64-shift)
-				if shift > 0 {
-					lo |= chunk << uint(shift)
-				} else {
-					lo |= chunk
-				}
-			}
-			streamLen += take
-			width -= take
-		}
-	}
-
-	// Regime.
+	es := uint(cfg.ES)
+	r := h >> es                // regime value (floor division)
+	e := uint64(h - r<<es)      // exponent in [0, 2^ES)
+	hi := e<<(64-es) | tail>>es // es == 0: e is 0 and the shift by 64 reads 0
+	lo := tail << (64 - es)     // es == 0: 0
+	var run uint                // regime length in bits
+	var regime uint64           // the regime's bits at the top of the word
 	if r >= 0 {
-		pushBits(maskN(r+1), r+1) // r+1 ones
-		pushBits(0, 1)            // terminating zero
+		run = uint(r) + 2
+		regime = ^uint64(0) << (64 - run + 1) // r+1 ones, then the terminating zero
 	} else {
-		pushBits(0, -r) // -r zeros
-		pushBits(1, 1)  // terminating one
+		run = uint(1 - r)
+		regime = 1 << (64 - run) // -r zeros, then the terminating one
 	}
-	// Exponent.
-	if cfg.ES > 0 {
-		pushBits(e, cfg.ES)
-	}
-	// Significand tail (64 bits).
-	pushBits(tail, 64)
+	sticky := stickyIn || lo<<(64-run) != 0
+	hi, lo = hi>>run|regime, lo>>run|hi<<(64-run)
 
 	// The posit payload is the top n-1 stream bits; the next bit is the
 	// guard, everything below contributes to sticky.
-	pn := cfg.N - 1
-	payload := hi >> uint(64-pn)
-	guard := (hi >> uint(64-pn-1)) & 1
-	stickyBits := lo != 0 || stickyIn
-	if 64-pn-1 > 0 {
-		stickyBits = stickyBits || hi&maskN(64-pn-1) != 0
-	}
+	pn := uint(cfg.N - 1)
+	payload := hi >> (64 - pn)
+	guard := hi >> (63 - pn) & 1
+	sticky = sticky || lo != 0 || hi<<(pn+1) != 0
 
-	if guard == 1 && (stickyBits || payload&1 == 1) {
+	if guard == 1 && (sticky || payload&1 == 1) {
 		payload++
 	}
 	// payload cannot overflow into the sign bit: an all-ones payload

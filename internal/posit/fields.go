@@ -138,33 +138,52 @@ func DecodeFields(cfg Config, bits uint64) Fields {
 	return f
 }
 
-// FieldAt reports which field the bit at position pos (0 = LSB,
-// N-1 = sign) belongs to in the raw pattern bits. For the zero and NaR
-// patterns, position N-1 is the sign and every other position is
-// classified as regime (the run of identical bits covers the payload).
-func FieldAt(cfg Config, bits uint64, pos int) FieldKind {
-	if pos < 0 || pos >= cfg.N {
-		panic(fmt.Sprintf("posit: FieldAt position %d out of range for %v", pos, cfg))
+// FieldAndRegimeK is the field layout of a raw posit pattern: it
+// returns the field that owns bit position pos (0 = LSB, N-1 = sign)
+// and the regime run length k (paper eq. 1), both from one count of
+// leading zeros, the way a posit hardware decoder finds every field
+// boundary. The N-1 payload bits are left-aligned, XORed with their
+// sign-extended first bit so a run of either direction reads as zeros,
+// and counted with a guard bit planted below the payload that caps k
+// at N-1. The terminating bit R_k then sits at position N-2-k (-1 when
+// the run fills the payload), the up-to-ES exponent bits below it and
+// the fraction below those.
+//
+// Zero and NaR have k = 0: position N-1 is the sign and every other
+// position is regime (the run of identical bits covers the payload).
+// It panics when pos lies outside [0, N).
+func FieldAndRegimeK(cfg Config, bits uint64, pos int) (FieldKind, int) {
+	n := cfg.N
+	if pos < 0 || pos >= n {
+		panic(fmt.Sprintf("posit: bit position %d out of range for %v", pos, cfg))
 	}
-	if pos == cfg.N-1 {
-		return FieldSign
+	x := bits << uint(65-n) // the payload at the top: the sign and any bits above N shift out
+	if x == 0 {
+		if pos == n-1 {
+			return FieldSign, 0
+		}
+		return FieldRegime, 0
 	}
-	f := DecodeFields(cfg, bits)
-	if f.IsZero || f.IsNaR {
-		return FieldRegime
-	}
-	// Positions, from the top: sign at N-1, regime occupies the next
-	// RegimeLen bits, then ExpLen exponent bits, then fraction.
-	regimeLow := cfg.N - 1 - f.RegimeLen
-	expLow := regimeLow - f.ExpLen
+	m := uint64(int64(x) >> 63) // all ones when the run is a run of ones
+	k := mbits.LeadingZeros64((x ^ m) | uint64(1)<<uint(64-n))
+	rk := n - 2 - k // position of the terminating bit R_k
 	switch {
-	case pos >= regimeLow:
-		return FieldRegime
-	case pos >= expLow:
-		return FieldExponent
-	default:
-		return FieldFraction
+	case pos == n-1:
+		return FieldSign, k
+	case pos >= rk:
+		return FieldRegime, k
+	case pos >= rk-cfg.ES:
+		return FieldExponent, k
 	}
+	return FieldFraction, k
+}
+
+// FieldAt reports which field the bit at position pos (0 = LSB,
+// N-1 = sign) belongs to in the raw pattern bits: FieldAndRegimeK
+// without k.
+func FieldAt(cfg Config, bits uint64, pos int) FieldKind {
+	f, _ := FieldAndRegimeK(cfg, bits, pos)
+	return f
 }
 
 // FracValue returns f = Frac / 2^FracLen in [0, 1), paper eq. 3.
@@ -178,52 +197,29 @@ func (f Fields) FracValue() float64 {
 // BitString renders the pattern with '|' separators between the sign,
 // regime, exponent and fraction fields, e.g. "0|10|00|0100…" — the
 // format used by the paper's worked examples (Figs. 5, 6, 12, 15).
+// Zero and NaR render as the sign and one regime run.
 func BitString(cfg Config, bits uint64) string {
-	bits = cfg.Canon(bits)
-	f := DecodeFields(cfg, bits)
 	var b strings.Builder
-	write := func(lo, hi int) { // bits [hi..lo], MSB first
-		for p := hi; p >= lo; p-- {
-			if bits&(1<<uint(p)) != 0 {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
+	prev := FieldSign
+	for p := cfg.N - 1; p >= 0; p-- {
+		if f := FieldAt(cfg, bits, p); f != prev {
+			b.WriteByte('|')
+			prev = f
 		}
-	}
-	n := cfg.N
-	write(n-1, n-1)
-	if f.IsZero || f.IsNaR {
-		b.WriteByte('|')
-		write(0, n-2)
-		return b.String()
-	}
-	regimeLow := n - 1 - f.RegimeLen
-	expLow := regimeLow - f.ExpLen
-	b.WriteByte('|')
-	write(regimeLow, n-2)
-	if f.ExpLen > 0 {
-		b.WriteByte('|')
-		write(expLow, regimeLow-1)
-	}
-	if f.FracLen > 0 {
-		b.WriteByte('|')
-		write(0, expLow-1)
+		b.WriteByte('0' + byte(bits>>uint(p)&1))
 	}
 	return b.String()
 }
 
-// RegimeRunLength implements paper eq. 1 directly from a magnitude:
-// the regime run length k of the posit nearest to p, computed from the
-// value rather than the bit pattern. For p > 1, k = floor(log_useed p)+1;
-// for 0 < p < 1, k = ceil(-log_useed p) = floor(...)… the paper's
-// four-case table reduces to the two branches below. p must be a
-// positive finite float; the result is clamped to [1, N-1].
+// RegimeRunLength implements paper eq. 1 from a magnitude: the regime
+// run length k of the posit nearest to p, read off its encoded
+// pattern. For p >= 1, k = floor(log_useed p) + 1; for 0 < p < 1,
+// k = -floor(log_useed p). p must be a positive finite float; the
+// result lies in [1, N-1].
 func RegimeRunLength(cfg Config, p float64) int {
 	if p <= 0 {
 		panic("posit: RegimeRunLength requires p > 0")
 	}
-	bits := EncodeFloat64(cfg, p)
-	f := DecodeFields(cfg, bits)
-	return f.K
+	_, k := FieldAndRegimeK(cfg, EncodeFloat64(cfg, p), cfg.N-1)
+	return k
 }

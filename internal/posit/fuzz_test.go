@@ -26,6 +26,9 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			if b != cfg.Canon(b) {
 				t.Fatalf("%v: encode produced non-canonical bits %#x", cfg, b)
 			}
+			if want := refEncode(cfg, x); b != want {
+				t.Fatalf("%v: encode of %g gave %#x, reference assemble %#x", cfg, x, b, want)
+			}
 			v := DecodeFloat64(cfg, b)
 			if x != 0 && v == 0 {
 				t.Fatalf("%v: nonzero %g rounded to zero", cfg, x)
@@ -53,6 +56,12 @@ func FuzzDecodersAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw uint64) {
 		for _, cfg := range []Config{Std8, Std16, Std32, Std64, {N: 19, ES: 1}} {
 			b := cfg.Canon(raw)
+			for pos := 0; pos < cfg.N; pos++ {
+				f, k := FieldAndRegimeK(cfg, raw, pos)
+				if want, wantK := refFieldAt(cfg, b, pos), DecodeFields(cfg, b).K; f != want || k != wantK {
+					t.Fatalf("%v: layout of %#x at bit %d is (%v, %d), reference (%v, %d)", cfg, b, pos, f, k, want, wantK)
+				}
+			}
 			if b == cfg.NaR() {
 				continue
 			}

@@ -6,6 +6,7 @@ package posit
 // independently of the integer tricks in arith.go.
 
 import (
+	"math"
 	"math/big"
 )
 
@@ -91,4 +92,120 @@ func ratFromPosit(cfg Config, bits uint64) *big.Rat {
 		v.Neg(v)
 	}
 	return v
+}
+
+// refFieldAt classifies bit pos from a full DecodeFields
+// decomposition: the reference FieldAndRegimeK is checked against.
+func refFieldAt(cfg Config, bits uint64, pos int) FieldKind {
+	if pos < 0 || pos >= cfg.N {
+		panic("posit: refFieldAt position out of range")
+	}
+	if pos == cfg.N-1 {
+		return FieldSign
+	}
+	f := DecodeFields(cfg, bits)
+	if f.IsZero || f.IsNaR {
+		return FieldRegime
+	}
+	// Positions, from the top: sign at N-1, regime occupies the next
+	// RegimeLen bits, then ExpLen exponent bits, then fraction.
+	regimeLow := cfg.N - 1 - f.RegimeLen
+	expLow := regimeLow - f.ExpLen
+	switch {
+	case pos >= regimeLow:
+		return FieldRegime
+	case pos >= expLow:
+		return FieldExponent
+	default:
+		return FieldFraction
+	}
+}
+
+// refAssemble pushes the regime, exponent and tail bits into a
+// 128-bit stream one chunk at a time and drops any stream bit past the
+// 128th, where assemble counts it toward sticky: the reference
+// assemble is checked against.
+func refAssemble(cfg Config, h int, tail uint64, stickyIn bool) uint64 {
+	maxScale := cfg.MaxScale()
+	if h >= maxScale {
+		return cfg.MaxPosBits()
+	}
+	if h < -maxScale {
+		return cfg.MinPosBits()
+	}
+
+	r := h >> uint(cfg.ES)               // regime value (floor division)
+	e := uint64(h - (r << uint(cfg.ES))) // exponent in [0, 2^ES)
+
+	var hi, lo uint64
+	var streamLen int // number of stream bits produced
+
+	pushBits := func(v uint64, width int) {
+		// Append the low `width` bits of v to the stream.
+		for width > 0 {
+			take := width
+			space := 128 - streamLen
+			if take > space {
+				take = space
+			}
+			if take <= 0 {
+				return
+			}
+			chunk := (v >> uint(width-take)) & maskN(take)
+			// Place chunk so its MSB lands at stream bit (127-streamLen).
+			shift := 128 - streamLen - take
+			if shift >= 64 {
+				hi |= chunk << uint(shift-64)
+			} else {
+				hi |= chunk >> uint(64-shift)
+				if shift > 0 {
+					lo |= chunk << uint(shift)
+				} else {
+					lo |= chunk
+				}
+			}
+			streamLen += take
+			width -= take
+		}
+	}
+
+	if r >= 0 {
+		pushBits(maskN(r+1), r+1) // r+1 ones
+		pushBits(0, 1)            // terminating zero
+	} else {
+		pushBits(0, -r) // -r zeros
+		pushBits(1, 1)  // terminating one
+	}
+	if cfg.ES > 0 {
+		pushBits(e, cfg.ES)
+	}
+	pushBits(tail, 64)
+
+	pn := cfg.N - 1
+	payload := hi >> uint(64-pn)
+	guard := (hi >> uint(64-pn-1)) & 1
+	stickyBits := lo != 0 || stickyIn
+	if 64-pn-1 > 0 {
+		stickyBits = stickyBits || hi&maskN(64-pn-1) != 0
+	}
+	if guard == 1 && (stickyBits || payload&1 == 1) {
+		payload++
+	}
+	return payload
+}
+
+// refEncode encodes x through refAssemble, splitting it with
+// math.Frexp rather than EncodeFloat64's own handling of the float64
+// bits (subnormals included).
+func refEncode(cfg Config, x float64) uint64 {
+	if x == 0 {
+		return 0
+	}
+	frac, exp := math.Frexp(math.Abs(x))   // |x| = frac × 2^exp, frac in [0.5, 1)
+	tail := math.Float64bits(2*frac) << 12 // the fraction bits of 2·frac in [1, 2), left-aligned
+	p := refAssemble(cfg, exp-1, tail, false)
+	if x < 0 {
+		p = cfg.Negate(p)
+	}
+	return p
 }

@@ -5,8 +5,8 @@
 # the perfbench module's vet and tests, positlint (including a
 # self-test that the linter still fires on its fixtures), the
 # positbench smoke (archived as artifacts/BENCH_PR10.json,
-# with an informational trajectory print against the committed
-# baseline), the store fuzz smokes, the bounded-memory
+# with an informational trajectory print against the newest committed
+# baseline), the posit and store fuzz smokes, the bounded-memory
 # columnar-store smoke (a 10⁷-trial campaign under GOMEMLIMIT whose
 # store-rendered CSV must hash identically to the direct encoder and
 # whose peak RSS must stay below half its materialized trials), the
@@ -78,10 +78,10 @@ echo "fixtures trip as expected"
 banner "positbench smoke: benchmark driver runs and emits a valid baseline"
 mkdir -p artifacts
 bench_compare=""
-if [ -f BENCH_PR9.json ]; then
-	# Informational trajectory print against the committed previous
+if [ -f BENCH_PR10.json ]; then
+	# Informational trajectory print against the newest committed
 	# baseline; perf gating stays human judgement (docs/PERF.md).
-	bench_compare="-compare BENCH_PR9.json"
+	bench_compare="-compare BENCH_PR10.json"
 fi
 # shellcheck disable=SC2086 # bench_compare is intentionally word-split
 $GO run ./cmd/positbench -smoke -out artifacts/BENCH_PR10.json $bench_compare
@@ -98,6 +98,13 @@ grep -q '"name": "store_append_shard"' artifacts/BENCH_PR10.json || {
 	exit 1
 }
 echo "ok (archived as artifacts/BENCH_PR10.json)"
+
+banner "posit fuzz smoke: 5s each over encode, the decoders and field layout, add, parse and the quire"
+$GO test -run '^$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 5s ./internal/posit/
+$GO test -run '^$' -fuzz FuzzDecodersAgree -fuzztime 5s ./internal/posit/
+$GO test -run '^$' -fuzz FuzzAddAgainstRat -fuzztime 5s ./internal/posit/
+$GO test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/posit/
+$GO test -run '^$' -fuzz FuzzQuireFMA -fuzztime 5s ./internal/posit/
 
 banner "store fuzz smoke: 5s each over the shard block decoder, the .pts footer index and opener"
 $GO test -run '^$' -fuzz FuzzDecodeBlock -fuzztime 5s ./internal/store/
