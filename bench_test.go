@@ -198,30 +198,18 @@ func BenchmarkP32Decode(b *testing.B) {
 	}
 }
 
-// BenchmarkP8DecodeLUT / BenchmarkP8DecodeGeneric measure the 256-entry
-// decode table against the generic field-walking decoder it replaced
-// (cmd/positbench tracks the same pair in the committed baseline).
+// BenchmarkP8DecodeLUT / BenchmarkP16DecodeLUT measure the 256- and
+// 65,536-entry decode tables (cmd/positbench tracks the same pair in
+// the committed baseline).
 func BenchmarkP8DecodeLUT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkF64 = posit.DecodeFloat64(posit.Std8, uint64(i&0xFF))
 	}
 }
 
-func BenchmarkP8DecodeGeneric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkF64 = posit.DecodeFloat64Generic(posit.Std8, uint64(i&0xFF))
-	}
-}
-
 func BenchmarkP16DecodeLUT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkF64 = posit.DecodeFloat64(posit.Std16, uint64(i&0xFFFF))
-	}
-}
-
-func BenchmarkP16DecodeGeneric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sinkF64 = posit.DecodeFloat64Generic(posit.Std16, uint64(i&0xFFFF))
 	}
 }
 

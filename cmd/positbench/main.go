@@ -1,7 +1,6 @@
 // Command positbench is the repo's micro-benchmark driver: it runs the
 // fixed-budget suite — the allocation-free campaign loop, posit
 // substrate micro-benchmarks (encode/decode/arithmetic/quire), the
-// LUT-vs-generic and CLZ-vs-generic decode comparisons, the
 // store-block-vs-CSV trial codec comparison, the store append/render
 // paths and representative figure regenerations — through
 // testing.Benchmark and writes a schema-versioned JSON baseline (see
@@ -158,23 +157,8 @@ func run(args []string, stdout io.Writer) int {
 			fmt.Sprintf("%d", br.AllocsPerOp), extraString(br.Metrics))
 	}
 
-	// Derived headline numbers: the LUT and CLZ decode tiers' measured
-	// wins, the store block's win over the CSV codec, and the store
-	// append and aggregate-figure ratios.
-	for _, w := range []int{8, 16} {
-		lut := byName[fmt.Sprintf("posit%d_decode_lut", w)]
-		gen := byName[fmt.Sprintf("posit%d_decode_generic", w)]
-		if lut.NsPerOp > 0 {
-			rep.Derived[fmt.Sprintf("posit%d_decode_speedup", w)] = gen.NsPerOp / lut.NsPerOp
-		}
-	}
-	for _, w := range []int{32, 64} {
-		clz := byName[fmt.Sprintf("posit%d_decode_clz", w)]
-		gen := byName[fmt.Sprintf("posit%d_decode_generic", w)]
-		if clz.NsPerOp > 0 {
-			rep.Derived[fmt.Sprintf("posit%d_decode_speedup", w)] = gen.NsPerOp / clz.NsPerOp
-		}
-	}
+	// Derived headline numbers: the store block's win over the CSV
+	// codec, and the store append and aggregate-figure ratios.
 	if be, ok := byName["block_encode_shard"]; ok && be.NsPerOp > 0 {
 		if ce, ok2 := byName["csv_encode_shard"]; ok2 {
 			rep.Derived["block_encode_speedup"] = ce.NsPerOp / be.NsPerOp
@@ -204,9 +188,7 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	fmt.Fprint(stdout, table.Render())
-	for _, k := range []string{"posit8_decode_speedup", "posit16_decode_speedup",
-		"posit32_decode_speedup", "posit64_decode_speedup",
-		"block_encode_speedup", "block_decode_speedup", "block_csv_size_ratio",
+	for _, k := range []string{"block_encode_speedup", "block_decode_speedup", "block_csv_size_ratio",
 		"store_append_allocs_per_op", "store_append_trials_per_sec",
 		"agg_figure_vs_render_speedup"} {
 		if v, ok := rep.Derived[k]; ok {
@@ -317,48 +299,17 @@ type benchCase struct {
 // benchCases builds the suite. Order is the report order.
 func benchCases(budget figures.Budget) []benchCase {
 	return []benchCase{
-		// LUT-vs-generic decode: the PR 3 optimization under test.
+		// posit8/16 decode through a table; every other configuration
+		// through the one decomposition, as posit32_decode below
+		// (docs/ARCHITECTURE.md has the table).
 		{"posit8_decode_lut", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkF64 = posit.DecodeFloat64(posit.Std8, uint64(i&0xFF))
 			}
 		}},
-		{"posit8_decode_generic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF64 = posit.DecodeFloat64Generic(posit.Std8, uint64(i&0xFF))
-			}
-		}},
 		{"posit16_decode_lut", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkF64 = posit.DecodeFloat64(posit.Std16, uint64(i&0xFFFF))
-			}
-		}},
-		{"posit16_decode_generic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF64 = posit.DecodeFloat64Generic(posit.Std16, uint64(i&0xFFFF))
-			}
-		}},
-		// CLZ-vs-generic decode: the branchless fast path the wide
-		// formats dispatch to (posit8/16 take the LUT tier instead; the
-		// tier table is in docs/ARCHITECTURE.md).
-		{"posit32_decode_clz", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF64 = posit.DecodeFloat64CLZ(posit.Std32, uint64(0x40000000+i&0xFFFFF))
-			}
-		}},
-		{"posit32_decode_generic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF64 = posit.DecodeFloat64Generic(posit.Std32, uint64(0x40000000+i&0xFFFFF))
-			}
-		}},
-		{"posit64_decode_clz", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF64 = posit.DecodeFloat64CLZ(posit.Std64, uint64(0x4000000000000000+i&0xFFFFF))
-			}
-		}},
-		{"posit64_decode_generic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF64 = posit.DecodeFloat64Generic(posit.Std64, uint64(0x4000000000000000+i&0xFFFFF))
 			}
 		}},
 		// Substrate micro-benches.

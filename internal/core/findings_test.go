@@ -171,38 +171,78 @@ func TestFinding6BelowOneRelErrNearOne(t *testing.T) {
 	}
 }
 
+// positivePattern is one positive pattern of a posit codec with the
+// flip of each of its bits.
+type positivePattern struct {
+	bits  uint64
+	v     float64         // the decoded pattern
+	k     int             // regime run length
+	rk    int             // position of R_k; -1 when the run fills the payload and there is no R_k
+	flips []Flip          // flips[bit]
+	errs  []qcat.PointErr // errs[bit]: flips[bit] measured against v
+}
+
 // eachPositivePattern runs visit over every positive pattern of a
-// posit codec except 1, with its value, the relative error of the
-// flip of each bit (qcat.Point against the decoded pattern) and the
-// position rk of its terminating regime bit R_k, or -1 when the run
-// fills the payload and there is no R_k. rk is N-2-k for the fused
+// posit codec, through Deriver.FromPattern. rk is N-2-k for the fused
 // RegimeK, and the test fails unless FieldName agrees: R_k is the
-// lowest bit of the regime field.
-func eachPositivePattern(t *testing.T, name string, visit func(pattern uint64, v float64, rel []float64, rk int)) {
+// lowest bit of the regime field. The slices in p are reused for the
+// next pattern.
+func eachPositivePattern(t *testing.T, name string, visit func(p positivePattern)) {
 	t.Helper()
 	codec := mustCodec(t, name)
 	d := NewDeriver(codec)
 	n := codec.Width()
-	rel := make([]float64, n)
-	for p := uint64(1); p < 1<<uint(n-1); p++ {
-		var v float64
-		lowest, k := n, 0 // lowest regime bit, regime run length
-		for bit := 0; bit < n; bit++ {
-			f := d.FromPattern(p, bit)
-			v, k = f.ReprValue, f.RegimeK
-			rel[bit] = qcat.Point(v, f.FaultyVal).RelErr
+	p := positivePattern{flips: make([]Flip, n), errs: make([]qcat.PointErr, n)}
+	for p.bits = 1; p.bits < 1<<uint(n-1); p.bits++ {
+		lowest := n // lowest regime bit
+		for bit := range p.flips {
+			f := d.FromPattern(p.bits, bit)
+			p.flips[bit], p.errs[bit] = f, qcat.Point(f.ReprValue, f.FaultyVal)
 			if f.FieldName == "regime" && bit < lowest {
 				lowest = bit
 			}
 		}
-		rk := n - 2 - k
-		if k == n-1 {
-			rk = -1 // a run of N-1 identical bits has no terminating bit
-		} else if lowest != rk {
-			t.Fatalf("%s %#x: RegimeK %d puts R_k at bit %d, the regime field ends at bit %d", name, p, k, rk, lowest)
+		p.v, p.k = p.flips[0].ReprValue, p.flips[0].RegimeK
+		p.rk = n - 2 - p.k
+		if p.k == n-1 {
+			p.rk = -1 // a run of N-1 identical bits has no terminating bit
+		} else if lowest != p.rk {
+			t.Fatalf("%s %#x: RegimeK %d puts R_k at bit %d, the regime field ends at bit %d", name, p.bits, p.k, p.rk, lowest)
 		}
-		if v != 1 {
-			visit(p, v, rel, rk)
+		visit(p)
+	}
+}
+
+// TestFinding3ExponentNoSpikeExhaustive restates Finding 3 (§5.6,
+// Figs. 17–18) on every positive posit8 and posit16 pattern: an
+// exponent-bit flip moves the exponent by 1 or 2, scaling the value by
+// at most 4, so no flip's relative error exceeds 3. The worst is
+// exactly 3, and no flip is an exception.
+func TestFinding3ExponentNoSpikeExhaustive(t *testing.T) {
+	for _, c := range []struct {
+		codec string
+		flips int
+	}{
+		{"posit8", 244},
+		{"posit16", 65524},
+	} {
+		var exceptions []uint64
+		flips, worst := 0, 0.0
+		eachPositivePattern(t, c.codec, func(p positivePattern) {
+			for bit, f := range p.flips {
+				if f.FieldName != "exponent" {
+					continue
+				}
+				flips++
+				e := p.errs[bit].RelErr
+				worst = max(worst, e)
+				if e > 3 {
+					exceptions = append(exceptions, p.bits)
+				}
+			}
+		})
+		if flips != c.flips || worst != 3 || len(exceptions) != 0 {
+			t.Errorf("%s: %d exponent flips, worst rel err %g, exceptions %#x; want %d, 3, none", c.codec, flips, worst, exceptions, c.flips)
 		}
 	}
 }
@@ -224,19 +264,20 @@ func TestFinding5RkWorstAboveOneExhaustive(t *testing.T) {
 	} {
 		var exceptions []uint64
 		patterns := 0
-		eachPositivePattern(t, c.codec, func(p uint64, v float64, rel []float64, rk int) {
-			if v < 1 {
+		eachPositivePattern(t, c.codec, func(p positivePattern) {
+			if p.v <= 1 {
 				return
 			}
 			patterns++
-			if rk < 0 {
-				exceptions = append(exceptions, p)
+			if p.rk < 0 {
+				exceptions = append(exceptions, p.bits)
 				return
 			}
-			for bit, e := range rel {
-				if !math.IsInf(e, 0) && e > rel[rk] {
-					t.Logf("%s %#x (%g): bit %d rel err %g beats R_k (bit %d) %g", c.codec, p, v, bit, e, rk, rel[rk])
-					exceptions = append(exceptions, p)
+			rk := p.errs[p.rk].RelErr
+			for bit, e := range p.errs {
+				if !math.IsInf(e.RelErr, 0) && e.RelErr > rk {
+					t.Logf("%s %#x (%g): bit %d rel err %g beats R_k (bit %d) %g", c.codec, p.bits, p.v, bit, e.RelErr, p.rk, rk)
+					exceptions = append(exceptions, p.bits)
 					return
 				}
 			}
@@ -263,17 +304,83 @@ func TestFinding6RkBelowOneExhaustive(t *testing.T) {
 	} {
 		var exceptions []uint64
 		patterns := 0
-		eachPositivePattern(t, c.codec, func(p uint64, v float64, rel []float64, rk int) {
-			if v > 1 {
+		eachPositivePattern(t, c.codec, func(p positivePattern) {
+			if p.v >= 1 {
 				return
 			}
 			patterns++
-			if rk < 0 || rel[rk] > 1 {
-				exceptions = append(exceptions, p)
+			if p.rk < 0 || p.errs[p.rk].RelErr > 1 {
+				exceptions = append(exceptions, p.bits)
 			}
 		})
 		if patterns != c.patterns || len(exceptions) != 0 {
 			t.Errorf("%s: %d patterns below 1, exceptions %#x; want %d, none", c.codec, patterns, exceptions, c.patterns)
+		}
+	}
+}
+
+// TestFinding7SignFlipExhaustive restates Finding 7 (§5.7,
+// Figs. 19–20) on every positive posit8 and posit16 pattern. A sign
+// flip is an exact negation, relative error 2, only for the pattern of
+// 1 (0x40, 0x4000); for every other pattern it changes the magnitude
+// too. And the damage grows with the regime: separately for values at
+// or above 1 and below 1, every sign-flip absolute error at regime run
+// k+1 exceeds every one at run k, for every k the format has.
+func TestFinding7SignFlipExhaustive(t *testing.T) {
+	// span holds the extreme sign-flip absolute errors at one k and
+	// the patterns that have them.
+	type span struct {
+		lo, hi     float64
+		loAt, hiAt uint64
+	}
+	for _, c := range []struct {
+		codec string
+		one   uint64
+		pairs [2]int // consecutive k pairs checked below 1 and at or above 1
+	}{
+		{"posit8", 0x40, [2]int{5, 6}},
+		{"posit16", 0x4000, [2]int{13, 14}},
+	} {
+		var exact []uint64
+		var spans [2]map[int]*span // [0] below 1, [1] at or above 1; by k
+		spans[0], spans[1] = map[int]*span{}, map[int]*span{}
+		eachPositivePattern(t, c.codec, func(p positivePattern) {
+			e := p.errs[len(p.errs)-1] // the sign bit
+			if e.RelErr == 2 {
+				exact = append(exact, p.bits)
+			}
+			side := 0
+			if p.v >= 1 {
+				side = 1
+			}
+			s := spans[side][p.k]
+			if s == nil {
+				s = &span{lo: e.AbsErr, hi: e.AbsErr, loAt: p.bits, hiAt: p.bits}
+				spans[side][p.k] = s
+			}
+			if e.AbsErr < s.lo {
+				s.lo, s.loAt = e.AbsErr, p.bits
+			}
+			if e.AbsErr > s.hi {
+				s.hi, s.hiAt = e.AbsErr, p.bits
+			}
+		})
+		if !slices.Equal(exact, []uint64{c.one}) {
+			t.Errorf("%s: sign flips with rel err 2 at %#x; want only %#x", c.codec, exact, c.one)
+		}
+		for side, byK := range spans {
+			name := [2]string{"below 1", "at or above 1"}[side]
+			pairs := 0
+			for k := 1; byK[k] != nil && byK[k+1] != nil; k++ {
+				pairs++
+				if s, next := byK[k], byK[k+1]; next.lo <= s.hi {
+					t.Errorf("%s %s: sign flip of %#x (k=%d) has abs err %g, not above %g of %#x (k=%d)",
+						c.codec, name, next.loAt, k+1, next.lo, s.hi, s.hiAt, k)
+				}
+			}
+			if pairs != c.pairs[side] || pairs != len(byK)-1 {
+				t.Errorf("%s %s: compared %d consecutive pairs of the %d regime runs; want %d", c.codec, name, pairs, len(byK), c.pairs[side])
+			}
 		}
 	}
 }

@@ -4,7 +4,7 @@ import "math/bits"
 
 // unpacked is the exact internal form used by the arithmetic engine:
 // value = ±sig × 2^(h-62), with sig normalized so bit 62 is set
-// (sig ∈ [2^62, 2^63)). Every posit fraction (at most 59 bits) fits
+// (sig ∈ [2^62, 2^63)). Every posit fraction (at most 61 bits) fits
 // exactly, so unpack/pack lose nothing except the final rounding.
 type unpacked struct {
 	nar  bool
@@ -28,9 +28,7 @@ func unpack(cfg Config, bitsIn uint64) unpacked {
 		u.neg = true
 		b = cfg.Negate(b)
 	}
-	f := DecodeFields(cfg, b)
-	u.h = (f.R << uint(cfg.ES)) + int(f.Exp)
-	u.sig = ((uint64(1) << uint(f.FracLen)) + f.Frac) << uint(62-f.FracLen)
+	u.h, u.sig = scale(cfg, b)
 	return u
 }
 

@@ -1,6 +1,9 @@
 package posit
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file implements the remaining conversion operations of the 2022
 // posit standard: posit↔posit width conversion, posit↔integer
@@ -11,15 +14,7 @@ import "math/bits"
 // rounds to nearest (ties to even in the integer representation) and
 // saturates like EncodeFloat64. Zero and NaR map to zero and NaR.
 func Convert(from, to Config, bitsIn uint64) uint64 {
-	b := from.Canon(bitsIn)
-	if b == 0 {
-		return 0
-	}
-	if b == from.NaR() {
-		return to.NaR()
-	}
-	u := unpack(from, b)
-	return pack(to, u, 0, false)
+	return pack(to, unpack(from, bitsIn), 0, false)
 }
 
 // FromInt64 returns the posit nearest to the integer v.
@@ -60,108 +55,68 @@ func FromUint64(cfg Config, v uint64) uint64 {
 // even (the standard's convention). NaR and out-of-range magnitudes
 // saturate to MinInt64/MaxInt64; the standard maps NaR to MinInt64.
 func ToInt64(cfg Config, bitsIn uint64) int64 {
-	b := cfg.Canon(bitsIn)
-	if b == 0 {
+	u := unpack(cfg, bitsIn)
+	switch {
+	case u.zero:
 		return 0
+	case u.nar:
+		return math.MinInt64
 	}
-	if b == cfg.NaR() {
-		return -1 << 63
-	}
-	neg := cfg.IsNeg(b)
-	if neg {
-		b = cfg.Negate(b)
-	}
-	f := DecodeFields(cfg, b)
-	h := (f.R << uint(cfg.ES)) + int(f.Exp)
-	mag, ok := roundSigToInt(f, h, 63)
-	if !ok {
-		if neg {
-			return -1 << 63
-		}
-		return 1<<63 - 1
-	}
-	if neg {
+	mag, ok := roundSigToInt(u.h, u.sig, 63)
+	switch {
+	case !ok && u.neg:
+		return math.MinInt64
+	case !ok:
+		return math.MaxInt64
+	case u.neg:
 		return -int64(mag)
-	}
-	if mag > 1<<63-1 {
-		return 1<<63 - 1
 	}
 	return int64(mag)
 }
 
-// ToUint64 converts a posit to uint64 (negative posits round toward
-// zero results... the standard defines negative → saturate at 0 after
-// rounding; values in (-0.5, 0) round to 0).
+// ToUint64 converts a posit to uint64, rounding to nearest with ties
+// to even. Every negative posit gives 0: those in [-0.5, 0) round to
+// it and the rest saturate at it. Magnitudes beyond MaxUint64 saturate
+// there, and NaR maps to 0x8000000000000000 as the standard
+// prescribes.
 func ToUint64(cfg Config, bitsIn uint64) uint64 {
-	b := cfg.Canon(bitsIn)
-	if b == 0 {
+	u := unpack(cfg, bitsIn)
+	switch {
+	case u.nar:
+		return 1 << 63
+	case u.zero || u.neg:
 		return 0
 	}
-	if b == cfg.NaR() {
-		return 1 << 63 // standard: NaR → 0x8000000000000000
-	}
-	if cfg.IsNeg(b) {
-		// Round to nearest: only magnitudes < 0.5 round up to 0.
-		mag := cfg.Negate(b)
-		f := DecodeFields(cfg, mag)
-		h := (f.R << uint(cfg.ES)) + int(f.Exp)
-		if h < -1 {
-			return 0
-		}
-		if v, ok := roundSigToInt(f, h, 64); ok && v == 0 {
-			return 0
-		}
-		return 0 // negative values saturate at 0
-	}
-	f := DecodeFields(cfg, b)
-	h := (f.R << uint(cfg.ES)) + int(f.Exp)
-	mag, ok := roundSigToInt(f, h, 64)
+	mag, ok := roundSigToInt(u.h, u.sig, 64)
 	if !ok {
-		return ^uint64(0)
+		return math.MaxUint64
 	}
 	return mag
 }
 
-// roundSigToInt rounds (1 + Frac/2^FracLen) × 2^h to an integer with
-// round-half-even, reporting overflow beyond maxBits bits.
-func roundSigToInt(f Fields, h int, maxBits int) (uint64, bool) {
+// roundSigToInt rounds sig × 2^(h-62), an unpacked magnitude (sig in
+// [2^62, 2^63)), to an integer with round-half-even, reporting
+// overflow beyond maxBits bits (maxBits <= 64).
+func roundSigToInt(h int, sig uint64, maxBits int) (uint64, bool) {
 	if h < -1 {
 		return 0, true // < 0.5 rounds to 0
 	}
 	if h >= maxBits {
 		return 0, false
 	}
-	sig := (uint64(1) << uint(f.FracLen)) + f.Frac // FracLen+1 bits
-	shift := f.FracLen - h                         // bits below the binary point
-	switch {
-	case shift <= 0:
-		// Integer already; scale up (bounded: h < maxBits, sig fits).
-		if -shift >= 64 || bits.Len64(sig)+(-shift) > maxBits {
-			return 0, false
-		}
-		return sig << uint(-shift), true
-	case shift > 63:
-		// Value < 1 with h >= -1: h == -1 means value in [0.5, 1):
-		// rounds to 1 unless exactly 0.5 (ties to even → 0).
-		if h == -1 {
-			if f.Frac == 0 { // exactly 0.5: tie → even (0)
-				return 0, true
-			}
-			return 1, true
-		}
-		return 0, true
-	default:
-		kept := sig >> uint(shift)
-		guard := (sig >> uint(shift-1)) & 1
-		sticky := sig&(maskN(shift-1)) != 0
-		if guard == 1 && (sticky || kept&1 == 1) {
-			kept++
-		}
-		if maxBits < 64 && bits.Len64(kept) > maxBits {
-			return 0, false
-		}
-		return kept, true
+	shift := 62 - h // bits below the binary point, at most 63
+	if shift <= 0 {
+		// Integer already: h is 62 or 63, and sig << 1 fits 64 bits.
+		v := sig << uint(-shift)
+		return v, bits.Len64(v) <= maxBits
 	}
+	kept := sig >> uint(shift)
+	guard := (sig >> uint(shift-1)) & 1
+	sticky := sig&maskN(shift-1) != 0
+	if guard == 1 && (sticky || kept&1 == 1) {
+		kept++
+	}
+	return kept, bits.Len64(kept) <= maxBits
 }
 
 // NextUp returns the smallest posit strictly greater than the given

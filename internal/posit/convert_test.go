@@ -151,6 +151,58 @@ func TestToUint64(t *testing.T) {
 	}
 }
 
+// roundHalfEven rounds r to the nearest integer, ties to even.
+func roundHalfEven(r *big.Rat) *big.Int {
+	// floor(r + 1/2), stepped back to even when r is a tie.
+	up := new(big.Rat).Add(r, big.NewRat(1, 2))
+	z := new(big.Int).Div(up.Num(), up.Denom()) // Euclidean: floor, as Denom > 0
+	if up.IsInt() && z.Bit(0) == 1 {
+		z.Sub(z, big.NewInt(1))
+	}
+	return z
+}
+
+// clampInt returns z limited to [lo, hi].
+func clampInt(z, lo, hi *big.Int) *big.Int {
+	if z.Cmp(lo) < 0 {
+		return lo
+	}
+	if z.Cmp(hi) > 0 {
+		return hi
+	}
+	return z
+}
+
+// TestIntConversionsExhaustive checks ToInt64 and ToUint64 against
+// round-half-even of the exact value on every pattern of every
+// configuration with N 2–14 and ES 0–4, with the documented
+// saturation: values beyond the integer range clamp to it (so every
+// negative posit gives ToUint64 0), and NaR gives MinInt64 and
+// 0x8000000000000000. ES 3 and 4 reach past 2^64, so both ends of
+// both ranges saturate.
+func TestIntConversionsExhaustive(t *testing.T) {
+	minI, maxI := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
+	zero, maxU := new(big.Int), new(big.Int).SetUint64(math.MaxUint64)
+	for n := 2; n <= 14; n++ {
+		for es := 0; es <= 4; es++ {
+			cfg := Config{N: n, ES: es}
+			for b := uint64(0); b < 1<<uint(n); b++ {
+				wantI, wantU := int64(math.MinInt64), uint64(1)<<63
+				if b != cfg.NaR() {
+					z := roundHalfEven(ratFromPosit(cfg, b))
+					wantI, wantU = clampInt(z, minI, maxI).Int64(), clampInt(z, zero, maxU).Uint64()
+				}
+				if got := ToInt64(cfg, b); got != wantI {
+					t.Fatalf("%v: ToInt64(%#x) = %d, want %d", cfg, b, got, wantI)
+				}
+				if got := ToUint64(cfg, b); got != wantU {
+					t.Fatalf("%v: ToUint64(%#x) = %d, want %d", cfg, b, got, wantU)
+				}
+			}
+		}
+	}
+}
+
 // TestNextUpDown: successors and predecessors traverse the full
 // posit16 order.
 func TestNextUpDown(t *testing.T) {

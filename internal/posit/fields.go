@@ -90,64 +90,45 @@ func DecodeFields(cfg Config, bits uint64) Fields {
 	if cfg.IsNeg(bits) {
 		f.Sign = 1
 	}
-
-	n := cfg.N
-	// Payload: the n-1 bits after the sign, left-aligned at bit n-2.
-	payload := bits & (cfg.Mask() >> 1)
-	pos := n - 2 // next bit position to read
-
-	// Regime: the run length of bits equal to the first payload bit,
-	// found in O(1) by counting leading zeros of the (possibly
-	// inverted) payload shifted to the top of the word.
-	first := (payload >> uint(pos)) & 1
-	top := payload << uint(64-(n-1))
-	if first == 1 {
-		top = ^top
-	}
-	k := mbits.LeadingZeros64(top)
-	if k > n-1 {
-		k = n - 1 // run extends to the end of the posit
-	}
-	pos -= k
-	f.K = k
-	if first == 1 {
+	x, k := regimeRun(cfg, bits)
+	f.K, f.R = k, -k
+	if int64(x) < 0 {
 		f.R = k - 1
-	} else {
-		f.R = -k
 	}
-	f.RegimeLen = k
-	if pos >= 0 {
-		// Terminating bit R_K is present; consume it.
-		f.RegimeLen++
-		pos--
-	}
-
-	// Exponent: up to ES bits, MSB-aligned when truncated.
-	for i := 0; i < cfg.ES && pos >= 0; i++ {
-		f.Exp = f.Exp<<1 | (payload>>uint(pos))&1
-		f.ExpLen++
-		pos--
-	}
-	f.Exp <<= uint(cfg.ES - f.ExpLen) // truncated low bits read as 0
-
-	// Fraction: everything that remains.
-	if pos >= 0 {
-		f.FracLen = pos + 1
-		f.Frac = payload & ((uint64(1) << uint(pos+1)) - 1)
-	}
+	rem := cfg.N - 2 - k // payload bits below R_k: -1 when the run fills the payload
+	f.RegimeLen = min(k+1, cfg.N-1)
+	f.ExpLen = min(max(rem, 0), cfg.ES)
+	f.FracLen = max(rem-cfg.ES, 0)
+	z := x << uint(k+1) // the exponent and fraction bits, left-aligned
+	f.Exp = z >> uint(64-cfg.ES)
+	f.Frac = z << uint(cfg.ES) >> uint(64-f.FracLen)
 	return f
+}
+
+// regimeRun is the one count of the regime run (paper eq. 1), the way
+// a posit hardware decoder finds every field boundary with one
+// leading-zero detector. It left-aligns the N-1 payload bits of the
+// raw pattern at bit 63 (the sign and any bits above N shift out),
+// XORs them with their sign-extended first bit so a run of either
+// direction reads as zeros, and counts those with a guard bit planted
+// just below the payload that caps k at N-1. It returns the aligned
+// payload x and the run length k. The run is of ones when x's top bit
+// is set; the terminating bit R_k sits at position N-2-k (-1 when the
+// run fills the payload), and x << (k+1) holds the exponent bits and
+// then the fraction, left-aligned over zeros, so a truncated exponent
+// reads MSB-aligned and a shift of 64 or more reads an absent field as
+// zero.
+func regimeRun(cfg Config, bits uint64) (x uint64, k int) {
+	x = bits << uint(65-cfg.N)
+	m := uint64(int64(x) >> 63) // all ones when the run is a run of ones
+	return x, mbits.LeadingZeros64((x ^ m) | uint64(1)<<uint(64-cfg.N))
 }
 
 // FieldAndRegimeK is the field layout of a raw posit pattern: it
 // returns the field that owns bit position pos (0 = LSB, N-1 = sign)
-// and the regime run length k (paper eq. 1), both from one count of
-// leading zeros, the way a posit hardware decoder finds every field
-// boundary. The N-1 payload bits are left-aligned, XORed with their
-// sign-extended first bit so a run of either direction reads as zeros,
-// and counted with a guard bit planted below the payload that caps k
-// at N-1. The terminating bit R_k then sits at position N-2-k (-1 when
-// the run fills the payload), the up-to-ES exponent bits below it and
-// the fraction below those.
+// and the regime run length k (paper eq. 1), both from regimeRun's one
+// count. The terminating bit R_k sits at position N-2-k, the up-to-ES
+// exponent bits below it and the fraction below those.
 //
 // Zero and NaR have k = 0: position N-1 is the sign and every other
 // position is regime (the run of identical bits covers the payload).
@@ -157,16 +138,11 @@ func FieldAndRegimeK(cfg Config, bits uint64, pos int) (FieldKind, int) {
 	if pos < 0 || pos >= n {
 		panic(fmt.Sprintf("posit: bit position %d out of range for %v", pos, cfg))
 	}
-	x := bits << uint(65-n) // the payload at the top: the sign and any bits above N shift out
-	if x == 0 {
-		if pos == n-1 {
-			return FieldSign, 0
-		}
-		return FieldRegime, 0
-	}
-	m := uint64(int64(x) >> 63) // all ones when the run is a run of ones
-	k := mbits.LeadingZeros64((x ^ m) | uint64(1)<<uint(64-n))
+	x, k := regimeRun(cfg, bits)
 	rk := n - 2 - k // position of the terminating bit R_k
+	if x == 0 {
+		k = 0 // zero and NaR: the run fills the payload (rk = -1), k reads 0
+	}
 	switch {
 	case pos == n-1:
 		return FieldSign, k

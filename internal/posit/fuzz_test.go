@@ -54,20 +54,19 @@ func FuzzDecodersAgree(f *testing.F) {
 	f.Add(^uint64(0))
 	f.Add(uint64(0x0000000180000001))
 	f.Fuzz(func(t *testing.T, raw uint64) {
-		for _, cfg := range []Config{Std8, Std16, Std32, Std64, {N: 19, ES: 1}} {
+		for _, cfg := range []Config{Std8, Std16, Std32, Std64, {N: 19, ES: 1}, {N: 32, ES: 0}, {N: 32, ES: 1}, {N: 32, ES: 3}} {
 			b := cfg.Canon(raw)
 			for pos := 0; pos < cfg.N; pos++ {
 				f, k := FieldAndRegimeK(cfg, raw, pos)
-				if want, wantK := refFieldAt(cfg, b, pos), DecodeFields(cfg, b).K; f != want || k != wantK {
+				if want, wantK := refFieldAt(cfg, b, pos), refDecodeFields(cfg, b).K; f != want || k != wantK {
 					t.Fatalf("%v: layout of %#x at bit %d is (%v, %d), reference (%v, %d)", cfg, b, pos, f, k, want, wantK)
 				}
 			}
+			checkDecode(t, cfg, raw)
 			if b == cfg.NaR() {
 				continue
 			}
-			v1 := DecodeFloat64(cfg, b)
-			v2 := DecodeEq2(cfg, b)
-			if v1 != v2 {
+			if v1, v2 := DecodeFloat64(cfg, b), DecodeEq2(cfg, b); v1 != v2 {
 				t.Fatalf("%v: decoders disagree at %#x: %v vs %v", cfg, b, v1, v2)
 			}
 		}

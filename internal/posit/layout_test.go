@@ -13,11 +13,11 @@ import (
 )
 
 // checkLayout compares FieldAndRegimeK at one (pattern, position) with
-// refFieldAt and DecodeFields' K.
+// refFieldAt and refDecodeFields' K.
 func checkLayout(t *testing.T, cfg Config, b uint64, pos int) {
 	t.Helper()
 	f, k := FieldAndRegimeK(cfg, b, pos)
-	if want, wantK := refFieldAt(cfg, b, pos), DecodeFields(cfg, b).K; f != want || k != wantK {
+	if want, wantK := refFieldAt(cfg, b, pos), refDecodeFields(cfg, b).K; f != want || k != wantK {
 		t.Fatalf("%v: FieldAndRegimeK(%#x, %d) = (%v, %d), reference (%v, %d)", cfg, b, pos, f, k, want, wantK)
 	}
 }
@@ -51,28 +51,33 @@ func TestFieldAndRegimeKExhaustive(t *testing.T) {
 	}
 }
 
+// samplePattern draws a uniform 64-bit word, whose bits above N are
+// garbage every reader of the pattern must ignore. With longRun set,
+// the top of the payload becomes a regime run of uniform length, which
+// uniform patterns almost never have.
+func samplePattern(rng *rand.Rand, cfg Config, longRun bool) uint64 {
+	b := rng.Uint64()
+	if longRun {
+		// Set the top run bits of the payload equal to its first bit.
+		run := uint(1 + rng.Intn(cfg.N-1))
+		top := uint(cfg.N - 1) // first bit past the payload
+		runMask := (uint64(1)<<run - 1) << (top - run)
+		if b>>(top-1)&1 == 1 {
+			b |= runMask
+		} else {
+			b &^= runMask
+		}
+	}
+	return b
+}
+
 // TestFieldAndRegimeKSampled checks 10⁶ sampled pairs of each wide
-// posit codec the campaign runs. Half the patterns are uniform; the
-// other half get a regime run of uniform length, which uniform
-// patterns almost never have, and garbage above bit N, which both
-// functions must ignore.
+// posit codec the campaign runs, half of them with long regime runs.
 func TestFieldAndRegimeKSampled(t *testing.T) {
 	for _, cfg := range []Config{Std32, Std64, {N: 32, ES: 0}, {N: 32, ES: 1}, {N: 32, ES: 3}} {
 		rng := rand.New(rand.NewSource(int64(cfg.N*8 + cfg.ES)))
 		for i := 0; i < 1_000_000; i++ {
-			b := rng.Uint64()
-			if i%2 == 1 {
-				// Set the top run bits of the payload equal to its first bit.
-				run := uint(1 + rng.Intn(cfg.N-1))
-				top := uint(cfg.N - 1) // first bit past the payload
-				runMask := (uint64(1)<<run - 1) << (top - run)
-				if b>>(top-1)&1 == 1 {
-					b |= runMask
-				} else {
-					b &^= runMask
-				}
-			}
-			checkLayout(t, cfg, b, rng.Intn(cfg.N))
+			checkLayout(t, cfg, samplePattern(rng, cfg, i%2 == 1), rng.Intn(cfg.N))
 		}
 	}
 }

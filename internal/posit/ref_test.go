@@ -3,7 +3,8 @@ package posit
 // Reference implementations used only by tests: an exact rational
 // rounder that implements the standard's rounding rule (saturate, then
 // round-to-nearest-even on the bit stream) straight from a big.Rat,
-// independently of the integer tricks in arith.go.
+// independently of the integer tricks in arith.go, and bit-walking
+// decoders that share no code with the one count of the regime run.
 
 import (
 	"math"
@@ -70,6 +71,75 @@ func refRoundRat(cfg Config, v *big.Rat) uint64 {
 	return p
 }
 
+// refDecodeFields is the field decomposition DecodeFields is checked
+// against: it walks the payload one bit at a time from the top,
+// through the regime run, its terminating bit, up to ES exponent bits
+// and the fraction.
+func refDecodeFields(cfg Config, bits uint64) Fields {
+	bits = cfg.Canon(bits)
+	f := Fields{Cfg: cfg}
+	if bits == 0 {
+		f.IsZero = true
+		return f
+	}
+	if bits == cfg.NaR() {
+		f.IsNaR = true
+		f.Sign = 1
+		return f
+	}
+	f.Sign = uint(bits >> uint(cfg.N-1))
+	bit := func(pos int) uint64 { return bits >> uint(pos) & 1 }
+	pos := cfg.N - 2 // next bit to read
+	first := bit(pos)
+	for pos >= 0 && bit(pos) == first {
+		f.K++
+		pos--
+	}
+	f.R = -f.K
+	if first == 1 {
+		f.R = f.K - 1
+	}
+	f.RegimeLen = f.K
+	if pos >= 0 { // the terminating bit R_k
+		f.RegimeLen++
+		pos--
+	}
+	for ; f.ExpLen < cfg.ES && pos >= 0; pos-- {
+		f.Exp = f.Exp<<1 | bit(pos)
+		f.ExpLen++
+	}
+	f.Exp <<= uint(cfg.ES - f.ExpLen) // truncated low bits read as 0
+	for ; pos >= 0; pos-- {
+		f.Frac = f.Frac<<1 | bit(pos)
+		f.FracLen++
+	}
+	return f
+}
+
+// refDecode is the decode DecodeFloat64 is checked against: it negates
+// a negative pattern, reads the magnitude through refDecodeFields and
+// returns (1 + f) × 2^((r << ES) + e) through math.Ldexp.
+func refDecode(cfg Config, bits uint64) float64 {
+	b := cfg.Canon(bits)
+	if b == 0 {
+		return 0
+	}
+	if b == cfg.NaR() {
+		return math.NaN()
+	}
+	neg := cfg.IsNeg(b)
+	if neg {
+		b = cfg.Negate(b)
+	}
+	f := refDecodeFields(cfg, b)
+	sig := uint64(1)<<uint(f.FracLen) + f.Frac
+	v := math.Ldexp(float64(sig), f.R<<uint(cfg.ES)+int(f.Exp)-f.FracLen)
+	if neg {
+		v = -v
+	}
+	return v
+}
+
 // ratFromPosit returns the exact rational value of a posit pattern.
 func ratFromPosit(cfg Config, bits uint64) *big.Rat {
 	b := cfg.Canon(bits)
@@ -83,7 +153,7 @@ func ratFromPosit(cfg Config, bits uint64) *big.Rat {
 	if neg {
 		b = cfg.Negate(b)
 	}
-	f := DecodeFields(cfg, b)
+	f := refDecodeFields(cfg, b)
 	h := (f.R << uint(cfg.ES)) + int(f.Exp)
 	sig := new(big.Int).SetUint64((uint64(1) << uint(f.FracLen)) + f.Frac)
 	v := new(big.Rat).SetInt(sig)
@@ -94,7 +164,7 @@ func ratFromPosit(cfg Config, bits uint64) *big.Rat {
 	return v
 }
 
-// refFieldAt classifies bit pos from a full DecodeFields
+// refFieldAt classifies bit pos from a full refDecodeFields
 // decomposition: the reference FieldAndRegimeK is checked against.
 func refFieldAt(cfg Config, bits uint64, pos int) FieldKind {
 	if pos < 0 || pos >= cfg.N {
@@ -103,7 +173,7 @@ func refFieldAt(cfg Config, bits uint64, pos int) FieldKind {
 	if pos == cfg.N-1 {
 		return FieldSign
 	}
-	f := DecodeFields(cfg, bits)
+	f := refDecodeFields(cfg, bits)
 	if f.IsZero || f.IsNaR {
 		return FieldRegime
 	}

@@ -17,25 +17,18 @@ import (
 // digit count (-1 for the minimal digits that round-trip through
 // Parse). Zero renders "0"; NaR renders "NaR".
 func Format(cfg Config, bitsIn uint64, format byte, prec int) string {
-	b := cfg.Canon(bitsIn)
-	if b == 0 {
+	u := unpack(cfg, bitsIn)
+	switch {
+	case u.zero:
 		return "0"
-	}
-	if b == cfg.NaR() {
+	case u.nar:
 		return "NaR"
 	}
-	neg := cfg.IsNeg(b)
-	if neg {
-		b = cfg.Negate(b)
-	}
-	f := DecodeFields(cfg, b)
-	h := (f.R << uint(cfg.ES)) + int(f.Exp)
-	sig := (uint64(1) << uint(f.FracLen)) + f.Frac
-	// Exact value: sig × 2^(h − FracLen). 64 mantissa bits suffice.
+	// Exact value: sig × 2^(h − 62). 64 mantissa bits suffice.
 	// SetMantExp(v, e) computes v × 2^e.
-	v := new(big.Float).SetPrec(64).SetUint64(sig)
-	v.SetMantExp(v, h-f.FracLen)
-	if neg {
+	v := new(big.Float).SetPrec(64).SetUint64(u.sig)
+	v.SetMantExp(v, u.h-62)
+	if u.neg {
 		v.Neg(v)
 	}
 	if prec < 0 {

@@ -11,7 +11,6 @@ package serve
 // completed, and a restart resumes the remainder.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -81,10 +80,7 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req spec.CampaignSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	j, verr := s.jobs.submit(req)

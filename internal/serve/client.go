@@ -157,6 +157,23 @@ func (c *Client) pause(ctx context.Context, key string, attempt int, cause error
 	}
 }
 
+// withRetry runs try until it succeeds or fails for good: the attempt
+// budget is spent, the error is not retryable for the request, or try
+// reports its failure final. Between attempts it pauses, keyed on the
+// request so concurrent retriers spread out.
+func (c *Client) withRetry(ctx context.Context, key string, idempotent bool, try func() (final bool, err error)) error {
+	attempts := c.attempts()
+	for attempt := 1; ; attempt++ {
+		final, err := try()
+		if err == nil || final || attempt >= attempts || !retryable(err, idempotent) {
+			return err
+		}
+		if serr := c.pause(ctx, key, attempt, err); serr != nil {
+			return err // context died mid-backoff; the last real error explains more
+		}
+	}
+}
+
 // do issues one request — retrying per the client's policy — and
 // decodes either the expected JSON body into out (when non-nil) or
 // the error envelope into an *APIError.
@@ -168,16 +185,9 @@ func (c *Client) do(ctx context.Context, method, path string, body, out interfac
 			return fmt.Errorf("positserve client: encode %s %s: %w", method, path, err)
 		}
 	}
-	attempts := c.attempts()
-	for attempt := 1; ; attempt++ {
-		err := c.doOnce(ctx, method, path, raw, out)
-		if err == nil || attempt >= attempts || !retryable(err, idempotent) {
-			return err
-		}
-		if serr := c.pause(ctx, method+" "+path, attempt, err); serr != nil {
-			return err // context died mid-backoff; the last real error explains more
-		}
-	}
+	return c.withRetry(ctx, method+" "+path, idempotent, func() (bool, error) {
+		return false, c.doOnce(ctx, method, path, raw, out)
+	})
 }
 
 // doOnce issues exactly one attempt of a JSON request.
@@ -274,17 +284,11 @@ func (c *Client) Inject(ctx context.Context, req InjectRequest) (*InjectResponse
 // to w; once the copy starts, a mid-stream error is final — the
 // caller owns w and a blind rewrite could interleave two bodies.
 func (c *Client) CampaignResult(ctx context.Context, id, field, format string, w io.Writer) error {
-	path := fmt.Sprintf("/v1/campaigns/%s/results?field=%s&format=%s", id, field, format)
-	attempts := c.attempts()
-	for attempt := 1; ; attempt++ {
+	path := resultURL(id, field, format)
+	return c.withRetry(ctx, "GET "+path, true, func() (bool, error) {
 		n, err := c.resultOnce(ctx, path, w)
-		if err == nil || n > 0 || attempt >= attempts || !retryable(err, true) {
-			return err
-		}
-		if serr := c.pause(ctx, "GET "+path, attempt, err); serr != nil {
-			return err
-		}
-	}
+		return n > 0, err
+	})
 }
 
 // resultOnce is one attempt of CampaignResult, reporting how many
@@ -316,17 +320,14 @@ func (c *Client) resultOnce(ctx context.Context, path string, w io.Writer) (int6
 // answers from the store footer, never rescanning trials. Retries
 // follow the client's policy, like any GET.
 func (c *Client) FetchAggregate(ctx context.Context, id, field, format string) (*store.AggregateDoc, error) {
-	path := fmt.Sprintf("/v1/campaigns/%s/results?field=%s&format=%s", id, field, format)
-	attempts := c.attempts()
-	for attempt := 1; ; attempt++ {
-		doc, err := c.aggregateOnce(ctx, path)
-		if err == nil || attempt >= attempts || !retryable(err, true) {
-			return doc, err
-		}
-		if serr := c.pause(ctx, "GET "+path, attempt, err); serr != nil {
-			return nil, err
-		}
-	}
+	path := resultURL(id, field, format)
+	var doc *store.AggregateDoc
+	err := c.withRetry(ctx, "GET "+path, true, func() (bool, error) {
+		var err error
+		doc, err = c.aggregateOnce(ctx, path)
+		return false, err
+	})
+	return doc, err
 }
 
 // aggregateOnce is one attempt of FetchAggregate. Only a JSON answer

@@ -1,13 +1,16 @@
 package serve
 
-// JSON response plumbing. Every response body positserve writes —
-// success or error — is JSON; there is no plaintext http.Error path
-// anywhere in the package, so clients can always dispatch on the
-// stable machine-readable "code" field of an error envelope.
+// JSON request and response plumbing. Every JSON request body goes
+// through decodeBody. Every response body positserve writes — success
+// or error — is JSON; there is no plaintext http.Error path anywhere
+// in the package, so clients can always dispatch on the stable
+// machine-readable "code" field of an error envelope.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -71,6 +74,27 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // writeError writes the standard JSON error envelope.
 func writeError(w http.ResponseWriter, status int, code, format string, args ...interface{}) {
 	writeJSON(w, status, errorBody{Error: apiError{Code: code, Message: fmt.Sprintf(format, args...)}})
+}
+
+// decodeBody decodes the request body, at most maxBodyBytes, as
+// exactly one JSON value into v, refusing unknown fields and any data
+// after the value: json.Decoder.Decode alone stops after the first
+// value, so a body of two campaign specs would run the first and drop
+// the second. On failure it answers 400 bad_request and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+		return false
+	}
+	return true
 }
 
 // JSONFloat is a float64 that marshals non-finite values as the

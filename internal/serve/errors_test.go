@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"positres/internal/store"
@@ -114,6 +115,33 @@ func TestErrorEnvelopeEveryCode(t *testing.T) {
 			}
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Errorf("Content-Type = %q, want application/json", ct)
+			}
+		})
+	}
+}
+
+// TestJSONBodyRefusesTrailingData: every endpoint that reads a JSON
+// body accepts one value (a trailing newline included) and answers
+// 400 bad_request to a body with a second value or junk after it,
+// instead of acting on the first value and dropping the rest.
+func TestJSONBodyRefusesTrailingData(t *testing.T) {
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/inject", `{"format":"posit8","value":1,"bit":0}`},
+		{"/v1/campaigns", tinyCampaign},
+		{"/v1/shards", `{"spec":{"fields":["CESM/CLOUD"],"formats":["posit8"],"n":16,"trials_per_bit":2},"bit_lo":0,"bit_hi":8}`},
+		{"/v1/workers", `{"url":"http://10.0.0.1:8080"}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			_, ts := newTestServer(t, Config{})
+			if resp := postJSON(t, ts.URL+tc.path, tc.body+"\n", nil); resp.StatusCode >= 300 {
+				t.Fatalf("one value: status %d", resp.StatusCode)
+			}
+			for _, extra := range []string{tc.body, "\n" + tc.body, " junk", "}"} {
+				var env errorBody
+				resp := postJSON(t, ts.URL+tc.path, tc.body+extra, &env)
+				if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeBadRequest {
+					t.Errorf("value + %q: status %d code %q, want 400 %s", extra, resp.StatusCode, env.Error.Code, codeBadRequest)
+				}
 			}
 		})
 	}

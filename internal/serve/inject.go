@@ -9,7 +9,6 @@ package serve
 // trial goes through — LRU-cached per (format, pattern, bit) triple.
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -76,10 +75,7 @@ type InjectResponse struct {
 // handleInject serves POST /v1/inject.
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	var req InjectRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	codec, err := numfmt.Lookup(req.Format)

@@ -111,7 +111,7 @@ func TestResultsContentNegotiation(t *testing.T) {
 		t.Fatalf("client aggregate %+v", got)
 	}
 	var viaClient bytes.Buffer
-	if err := cl.CampaignResult(context.Background(), st.ID, "CESM%2FCLOUD", "posit8", &viaClient); err != nil {
+	if err := cl.CampaignResult(context.Background(), st.ID, "CESM/CLOUD", "posit8", &viaClient); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(viaClient.Bytes(), csvDefault) {

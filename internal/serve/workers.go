@@ -10,7 +10,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -81,10 +80,7 @@ type workerList struct {
 // computation.
 func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Spec.Fields) != 1 || len(req.Spec.Formats) != 1 {
@@ -151,10 +147,7 @@ func (s *Server) handleRunShard(w http.ResponseWriter, r *http.Request) {
 // one worker to the dispatch pool.
 func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var reg workerRegistration
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&reg); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "invalid JSON body: %v", err)
+	if !decodeBody(w, r, &reg) {
 		return
 	}
 	u, err := url.Parse(reg.URL)
