@@ -26,7 +26,6 @@
 //	              report instead of text lines (CI archives this)
 //	-prune        report suppression-file entries and inline ignore
 //	              directives that no longer match any diagnostic
-//	-jobs N       analyze N packages concurrently (default GOMAXPROCS)
 //
 // Suppressions: see docs/LINT.md. File-based entries live in
 // .positlint.suppress at the module root; inline escapes use
@@ -57,7 +56,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		fix      = fs.Bool("fix", false, "apply suggested fixes in place, then report what remains")
 		format   = fs.String("format", "text", "output format: text or json")
 		prune    = fs.Bool("prune", false, "report stale suppressions and ignore directives instead of linting")
-		jobs     = fs.Int("jobs", 0, "packages to analyze concurrently (default GOMAXPROCS)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: positlint [flags] [patterns...]\n")
@@ -132,8 +130,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	runner := &lint.Runner{Rules: rules, Suppress: sup, Jobs: *jobs}
-	diags := runner.Run(pkgs)
+	diags := (&lint.Runner{Rules: rules, Suppress: sup}).Run(pkgs)
 
 	if *fix {
 		changed, err := lint.ApplyFixes(diags)

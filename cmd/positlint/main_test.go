@@ -42,7 +42,7 @@ func TestListIncludesNewRules(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit = %d", code)
 	}
-	for _, id := range []string{"quireguard", "csvheader", "budgetscale", "errcode"} {
+	for _, id := range []string{"quireguard", "budgetscale", "errcode"} {
 		if !strings.Contains(out, id) {
 			t.Errorf("-list output missing rule %s", id)
 		}
@@ -54,7 +54,7 @@ func TestFixtureTripsNonZero(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("lint of all fixture exit = %d, want 1", code)
 	}
-	for _, id := range []string{"quireguard", "csvheader", "budgetscale", "errcode"} {
+	for _, id := range []string{"quireguard", "budgetscale", "errcode"} {
 		if !strings.Contains(out, "["+id+"]") {
 			t.Errorf("all fixture output missing a %s diagnostic", id)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 )
@@ -112,5 +113,47 @@ func TestWriteTrialsCSVFlushBoundary(t *testing.T) {
 	}
 	if len(back) != n {
 		t.Fatalf("round-trip rows = %d, want %d", len(back), n)
+	}
+}
+
+// TestTrialCSVCoversEveryField ties trialHeader, the row encoder and
+// ReadTrialsCSV to core.Trial: the header has one column per field,
+// and a trial with any single field set to a non-zero value comes back
+// from WriteTrialsCSV and ReadTrialsCSV unchanged. A field added
+// without a column, or dropped by either direction, fails here.
+func TestTrialCSVCoversEveryField(t *testing.T) {
+	typ := reflect.TypeOf(Trial{})
+	if len(trialHeader) != typ.NumField() {
+		t.Fatalf("trialHeader has %d columns, Trial has %d fields", len(trialHeader), typ.NumField())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		var tr Trial
+		switch f := reflect.ValueOf(&tr).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("x,y")
+		case reflect.Int:
+			f.SetInt(-3)
+		case reflect.Uint64:
+			f.SetUint(0xbeef)
+		case reflect.Float64:
+			f.SetFloat(-1.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("field %s: no test value for kind %s", name, f.Kind())
+		}
+		var buf bytes.Buffer
+		if err := WriteTrialsCSV(&buf, []Trial{tr}); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTrialsCSV(&buf)
+		if err != nil {
+			t.Errorf("field %s: %v", name, err)
+			continue
+		}
+		if len(back) != 1 || back[0] != tr {
+			t.Errorf("field %s: read back %+v, want %+v", name, back, tr)
+		}
 	}
 }

@@ -385,6 +385,73 @@ func TestFinding7SignFlipExhaustive(t *testing.T) {
 	}
 }
 
+// TestFig15SoleRunBitExhaustive counts the paper's edge case (§5.4.2,
+// Fig. 15) on every positive posit8 and posit16 pattern whose regime
+// run is one bit long (k = 1). Bit N-2 is then the whole run, so its
+// flip inverts the regime and lengthens the run at once: the value
+// lands on the other side of 1, and the new run is longer for every
+// pattern but 1 (0x40, 0x4000), which flips to zero. Below 1 this is
+// the absolute-error spike: every such flip does more absolute damage
+// than the R_k flip of any pattern below 1.
+func TestFig15SoleRunBitExhaustive(t *testing.T) {
+	for _, c := range []struct {
+		codec      string
+		perSide    int     // k = 1 patterns below 1, and at or above 1
+		one        uint64  // the pattern of 1, the one exception
+		loAt, hiAt uint64  // below 1: patterns with the least and most flip abs err
+		lo, hi     float64 // their abs errors; hi is maxpos less the value, which rounds to 2^56 in posit16
+		rkMax      float64 // largest R_k flip abs err of any pattern below 1
+	}{
+		{"posit8", 32, 0x40, 0x20, 0x3f, 15.9375, 0x1p24 - 0.9375, 0.8828125},
+		{"posit16", 8192, 0x4000, 0x2000, 0x3fff, 15.9375, 0x1p56, 0.937286376953125},
+	} {
+		d := NewDeriver(mustCodec(t, c.codec))
+		var exceptions []uint64
+		var perSide [2]int // [0] below 1, [1] at or above 1
+		lo, hi, rkMax := math.Inf(1), 0.0, 0.0
+		var loAt, hiAt uint64
+		eachPositivePattern(t, c.codec, func(p positivePattern) {
+			if p.v < 1 {
+				rkMax = max(rkMax, p.errs[p.rk].AbsErr)
+			}
+			if p.k != 1 {
+				return
+			}
+			bit := len(p.flips) - 2
+			f, e := p.flips[bit], p.errs[bit]
+			if (p.v < 1) == (f.FaultyVal < 1) {
+				t.Errorf("%s %#x (%g): flipping bit %d gives %g, on the same side of 1", c.codec, p.bits, p.v, bit, f.FaultyVal)
+			}
+			if d.FromPattern(f.FaultyBits, 0).RegimeK <= p.k {
+				exceptions = append(exceptions, p.bits)
+			}
+			if p.v >= 1 {
+				perSide[1]++
+				return
+			}
+			perSide[0]++
+			if e.AbsErr < lo {
+				lo, loAt = e.AbsErr, p.bits
+			}
+			if e.AbsErr > hi {
+				hi, hiAt = e.AbsErr, p.bits
+			}
+		})
+		if perSide != [2]int{c.perSide, c.perSide} || !slices.Equal(exceptions, []uint64{c.one}) {
+			t.Errorf("%s: %v k = 1 patterns below and at or above 1, run not longer at %#x; want %d each, only %#x",
+				c.codec, perSide, exceptions, c.perSide, c.one)
+		}
+		if lo != c.lo || loAt != c.loAt || hi != c.hi || hiAt != c.hiAt {
+			t.Errorf("%s below 1: flip abs err from %g (%#x) to %g (%#x); want %g (%#x) to %g (%#x)",
+				c.codec, lo, loAt, hi, hiAt, c.lo, c.loAt, c.hi, c.hiAt)
+		}
+		if rkMax != c.rkMax || lo <= rkMax {
+			t.Errorf("%s below 1: largest R_k flip abs err %g, least sole-run-bit flip abs err %g; want %g, and above it",
+				c.codec, rkMax, lo, c.rkMax)
+		}
+	}
+}
+
 // TestFinding7PositSignMagnitudeCoupling: flipping a posit's sign bit
 // changes the magnitude too (§5.7, Fig. 19): relative error differs
 // from 2 for values away from ±1, and grows with regime size (Fig. 20).

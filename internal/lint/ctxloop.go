@@ -6,20 +6,15 @@ import (
 )
 
 // CtxLoop inspects goroutine-spawning loops — the shape of every
-// worker pool in internal/core, internal/stats and internal/figures.
-// Two hazards fire:
+// worker pool in internal/core, internal/stats and internal/figures —
+// in functions that receive a context.Context. It flags a spawned
+// goroutine that never consults that context (no ctx use, so no
+// cancellation path): under sharded campaigns a cancelled job must not
+// keep burning cores.
 //
-//   - the spawned func literal captures the loop variable instead of
-//     taking it as an argument. Go 1.22 made range variables
-//     per-iteration, but the repo's analyzers and examples are read as
-//     reference implementations of the paper's campaign; the
-//     pass-as-argument form is the only one whose correctness does not
-//     depend on toolchain version, so the lint enforces it;
-//
-//   - the enclosing function receives a context.Context but the
-//     spawned goroutine never consults it (no ctx use, so no
-//     cancellation path): under sharded campaigns a cancelled job must
-//     not keep burning cores.
+// A goroutine that captures the loop variable is not flagged: go.mod
+// declares go 1.22, so every range and for clause declares its
+// variables per iteration and no two goroutines can share one.
 type CtxLoop struct{}
 
 // NewCtxLoop returns the rule.
@@ -30,7 +25,7 @@ func (*CtxLoop) ID() string { return "ctxloop" }
 
 // Doc implements Rule.
 func (*CtxLoop) Doc() string {
-	return "flags goroutine loops that capture the loop variable or ignore a ctx parameter"
+	return "flags goroutines spawned in a loop that ignore the enclosing ctx parameter"
 }
 
 // Check implements Rule.
@@ -38,30 +33,16 @@ func (r *CtxLoop) Check(pass *Pass) []Diagnostic {
 	var out []Diagnostic
 	walkFuncs(pass, func(_ string, ftype *ast.FuncType, body *ast.BlockStmt) {
 		ctxObjs := contextParams(pass, ftype)
+		if len(ctxObjs) == 0 {
+			return
+		}
 		ast.Inspect(body, func(n ast.Node) bool {
 			var loopBody *ast.BlockStmt
-			loopVars := map[types.Object]bool{}
 			switch loop := n.(type) {
 			case *ast.RangeStmt:
 				loopBody = loop.Body
-				for _, e := range []ast.Expr{loop.Key, loop.Value} {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						if obj := pass.Info.Defs[id]; obj != nil {
-							loopVars[obj] = true
-						}
-					}
-				}
 			case *ast.ForStmt:
 				loopBody = loop.Body
-				if as, ok := loop.Init.(*ast.AssignStmt); ok {
-					for _, e := range as.Lhs {
-						if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-							if obj := pass.Info.Defs[id]; obj != nil {
-								loopVars[obj] = true
-							}
-						}
-					}
-				}
 			default:
 				return true
 			}
@@ -72,14 +53,9 @@ func (r *CtxLoop) Check(pass *Pass) []Diagnostic {
 				}
 				lit, ok := gs.Call.Fun.(*ast.FuncLit)
 				if !ok {
-					return true // go f(args): args evaluate at spawn time
+					return true // go f(args): f's body is out of view
 				}
-				if len(loopVars) > 0 && usesAnyObject(pass, lit.Body, loopVars) {
-					out = append(out, pass.Diag(r, gs.Pos(),
-						"goroutine captures a loop variable; pass it as an argument so correctness does not depend on per-iteration semantics"))
-				}
-				if len(ctxObjs) > 0 && !usesAnyObject(pass, lit.Body, ctxObjs) &&
-					!usesAnyObject(pass, gs.Call, ctxObjs) {
+				if !usesAnyObject(pass, lit.Body, ctxObjs) && !usesAnyObject(pass, gs.Call, ctxObjs) {
 					out = append(out, pass.Diag(r, gs.Pos(),
 						"goroutine spawned in a loop never consults the enclosing function's context.Context; it cannot be cancelled"))
 				}

@@ -19,30 +19,6 @@ func loadFixture(t *testing.T, name string) *Package {
 	return pkg
 }
 
-func TestFactIndexStructsAndHeaders(t *testing.T) {
-	idx := BuildFacts([]*Package{loadFixture(t, "csvheader")})
-
-	sf := idx.StructIn("", "Trial")
-	if sf == nil {
-		t.Fatal("Trial struct fact not collected")
-	}
-	if got := sf.FieldNames(); !reflect.DeepEqual(got, []string{"Dataset", "Bit", "Delta"}) {
-		t.Errorf("Trial fields = %v", got)
-	}
-	var header *StringListFact
-	for _, fact := range idx.StringLists {
-		if fact.Name == "trialHeader" {
-			header = fact
-		}
-	}
-	if header == nil {
-		t.Fatal("trialHeader registry fact not collected")
-	}
-	if !reflect.DeepEqual(header.Elems, []string{"dataset", "bit", "delta"}) {
-		t.Errorf("trialHeader elems = %v", header.Elems)
-	}
-}
-
 func TestFactIndexErrorCodes(t *testing.T) {
 	idx := BuildFacts([]*Package{loadFixture(t, "errcode")})
 	for _, code := range []string{"bad-request", "not-found"} {
@@ -68,32 +44,6 @@ func TestFactIndexQuireAccum(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fact.Params, []int{0}) {
 		t.Errorf("accumulate params = %v, want [0]", fact.Params)
-	}
-}
-
-// TestRunnerParallelDeterministic runs the full rule set over several
-// packages at different concurrency levels and demands byte-identical
-// diagnostic streams: ordering must come from sortDiagnostics, never
-// from goroutine scheduling.
-func TestRunnerParallelDeterministic(t *testing.T) {
-	pkgs := []*Package{
-		loadFixture(t, "all"),
-		loadFixture(t, "floatcmp"),
-		loadFixture(t, "errdrop"),
-		loadFixture(t, "quireguard"),
-		loadFixture(t, "errcode"),
-	}
-	base := (&Runner{Rules: AllRules(), Jobs: 1}).Run(pkgs)
-	if len(base) == 0 {
-		t.Fatal("fixtures produced no diagnostics")
-	}
-	for _, jobs := range []int{0, 2, 8} {
-		for round := 0; round < 3; round++ {
-			got := (&Runner{Rules: AllRules(), Jobs: jobs}).Run(pkgs)
-			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("jobs=%d round=%d: diagnostics differ from sequential run", jobs, round)
-			}
-		}
 	}
 }
 

@@ -1,16 +1,15 @@
 package lint
 
 // Pass 1 of the analyzer: the repo-wide fact index. Rules that enforce
-// cross-declaration invariants (a CSV header drifting from the struct
-// it serializes, an error code missing from the stable registry, quire
-// accumulation hidden behind a helper in another package) cannot see
-// what they need from a single-file AST walk. BuildFacts runs once
-// over every loaded package and records the module-level facts; pass 2
-// hands the index to every rule through Pass.Facts.
+// cross-declaration invariants (an error code missing from the stable
+// registry, quire accumulation hidden behind a helper in another
+// package) cannot see what they need from a single-file AST walk.
+// BuildFacts runs once over every loaded package and records the
+// module-level facts; pass 2 hands the index to every rule through
+// Pass.Facts.
 //
-// The index is deliberately small and declarative — named structs with
-// their ordered field sets, string-literal registries, error-code
-// constants, and call-graph edges into quire accumulation APIs.
+// The index is deliberately small and declarative — error-code
+// constants and call-graph edges into quire accumulation APIs.
 
 import (
 	"go/ast"
@@ -19,44 +18,7 @@ import (
 	"go/types"
 	"regexp"
 	"sort"
-	"strings"
 )
-
-// FieldFact is one named struct field in declaration order.
-type FieldFact struct {
-	Name string `json:"name"` // field name (one entry per name in grouped declarations)
-	Type string `json:"type"` // declared type, rendered with types.ExprString
-}
-
-// StructFact records a named struct type and its flattened field list.
-type StructFact struct {
-	Pkg    string      `json:"pkg"`    // import path (or load dir) of the declaring package
-	Name   string      `json:"name"`   // type name
-	Fields []FieldFact `json:"fields"` // named fields in declaration order, embedded fields excluded
-}
-
-// Key returns the index key "pkg.Name".
-func (s *StructFact) Key() string { return s.Pkg + "." + s.Name }
-
-// FieldNames returns the field names in declaration order.
-func (s *StructFact) FieldNames() []string {
-	out := make([]string, len(s.Fields))
-	for i, f := range s.Fields {
-		out[i] = f.Name
-	}
-	return out
-}
-
-// StringListFact records a package-level `var x = []string{...}` whose
-// elements are all string literals — the shape of this repo's schema
-// registries (core.trialHeader and friends).
-type StringListFact struct {
-	Pkg   string   `json:"pkg"`   // declaring package
-	Name  string   `json:"name"`  // variable name
-	Elems []string `json:"elems"` // unquoted literal elements in order
-
-	pos token.Pos // declaration position, for diagnostics
-}
 
 // ErrorCodeFact records one stable error-code constant: a string
 // constant whose name matches ^[Cc]ode[A-Z0-9_] (serve's unexported
@@ -78,12 +40,6 @@ type QuireAccumFact struct {
 
 // FactIndex is the repo-wide fact store built by pass 1.
 type FactIndex struct {
-	// Structs maps "pkg.TypeName" to the struct's ordered field set,
-	// for every named struct type in the loaded packages.
-	Structs map[string]*StructFact
-	// StringLists maps "pkg.varName" to all-literal []string registry
-	// declarations.
-	StringLists map[string]*StringListFact
 	// ErrorCodes maps code string values to their declaring constants.
 	// A value declared by several constants (serve aliasing spec) keeps
 	// every declaration.
@@ -106,10 +62,8 @@ var quireAccumMethods = map[string]bool{
 // index. It is pure analysis — no diagnostics are produced here.
 func BuildFacts(pkgs []*Package) *FactIndex {
 	idx := &FactIndex{
-		Structs:     map[string]*StructFact{},
-		StringLists: map[string]*StringListFact{},
-		ErrorCodes:  map[string][]ErrorCodeFact{},
-		QuireAccum:  map[string]*QuireAccumFact{},
+		ErrorCodes: map[string][]ErrorCodeFact{},
+		QuireAccum: map[string]*QuireAccumFact{},
 	}
 	for _, pkg := range pkgs {
 		pass := pkg.pass()
@@ -117,7 +71,7 @@ func BuildFacts(pkgs []*Package) *FactIndex {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.GenDecl:
-					idx.collectGenDecl(pass, d)
+					idx.collectErrorCodes(pass, d)
 				case *ast.FuncDecl:
 					idx.collectQuireAccum(pass, d)
 				}
@@ -127,59 +81,28 @@ func BuildFacts(pkgs []*Package) *FactIndex {
 	return idx
 }
 
-func (idx *FactIndex) collectGenDecl(pass *Pass, d *ast.GenDecl) {
-	switch d.Tok {
-	case token.TYPE:
-		for _, sp := range d.Specs {
-			ts, ok := sp.(*ast.TypeSpec)
-			if !ok {
-				continue
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				continue
-			}
-			sf := &StructFact{Pkg: pass.Path, Name: ts.Name.Name}
-			for _, field := range st.Fields.List {
-				for _, name := range field.Names {
-					sf.Fields = append(sf.Fields, FieldFact{Name: name.Name, Type: exprString(field.Type)})
-				}
-			}
-			idx.Structs[sf.Key()] = sf
+// collectErrorCodes records the string constants of a declaration
+// whose names follow the error-code convention.
+func (idx *FactIndex) collectErrorCodes(pass *Pass, d *ast.GenDecl) {
+	if d.Tok != token.CONST {
+		return
+	}
+	for _, sp := range d.Specs {
+		vs, ok := sp.(*ast.ValueSpec)
+		if !ok {
+			continue
 		}
-	case token.VAR:
-		for _, sp := range d.Specs {
-			vs, ok := sp.(*ast.ValueSpec)
-			if !ok || len(vs.Names) != 1 || len(vs.Values) != 1 {
+		for _, name := range vs.Names {
+			if !errorCodeNameRx.MatchString(name.Name) {
 				continue
 			}
-			elems, ok := stringListLiteral(vs.Values[0])
-			if !ok {
+			obj, ok := pass.Info.Defs[name].(*types.Const)
+			if !ok || obj.Val().Kind() != constant.String {
 				continue
 			}
-			fact := &StringListFact{
-				Pkg: pass.Path, Name: vs.Names[0].Name, Elems: elems, pos: vs.Names[0].Pos(),
-			}
-			idx.StringLists[fact.Pkg+"."+fact.Name] = fact
-		}
-	case token.CONST:
-		for _, sp := range d.Specs {
-			vs, ok := sp.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for _, name := range vs.Names {
-				if !errorCodeNameRx.MatchString(name.Name) {
-					continue
-				}
-				obj, ok := pass.Info.Defs[name].(*types.Const)
-				if !ok || obj.Val().Kind() != constant.String {
-					continue
-				}
-				val := constant.StringVal(obj.Val())
-				idx.ErrorCodes[val] = append(idx.ErrorCodes[val],
-					ErrorCodeFact{Pkg: pass.Path, Name: name.Name, Value: val})
-			}
+			val := constant.StringVal(obj.Val())
+			idx.ErrorCodes[val] = append(idx.ErrorCodes[val],
+				ErrorCodeFact{Pkg: pass.Path, Name: name.Name, Value: val})
 		}
 	}
 }
@@ -243,51 +166,6 @@ func (idx *FactIndex) collectQuireAccum(pass *Pass, d *ast.FuncDecl) {
 func (idx *FactIndex) HasErrorCode(value string) bool {
 	_, ok := idx.ErrorCodes[value]
 	return ok
-}
-
-// StructIn returns the named struct fact declared in pkg, or, when pkg
-// has none of that name, the unique declaration elsewhere in the index
-// (nil when absent or ambiguous). The two-step lookup is what lets a
-// header registry and the struct it mirrors live in different packages.
-func (idx *FactIndex) StructIn(pkg, name string) *StructFact {
-	if sf, ok := idx.Structs[pkg+"."+name]; ok {
-		return sf
-	}
-	var found *StructFact
-	for _, sf := range idx.Structs {
-		if sf.Name == name {
-			if found != nil {
-				return nil // ambiguous across packages: refuse to guess
-			}
-			found = sf
-		}
-	}
-	return found
-}
-
-// stringListLiteral matches `[]string{"a", "b", ...}` with all-literal
-// elements, returning the unquoted values.
-func stringListLiteral(e ast.Expr) ([]string, bool) {
-	cl, ok := ast.Unparen(e).(*ast.CompositeLit)
-	if !ok {
-		return nil, false
-	}
-	at, ok := cl.Type.(*ast.ArrayType)
-	if !ok || at.Len != nil {
-		return nil, false
-	}
-	if id, ok := at.Elt.(*ast.Ident); !ok || id.Name != "string" {
-		return nil, false
-	}
-	elems := make([]string, 0, len(cl.Elts))
-	for _, el := range cl.Elts {
-		lit, ok := el.(*ast.BasicLit)
-		if !ok || lit.Kind != token.STRING {
-			return nil, false
-		}
-		elems = append(elems, strings.Trim(lit.Value, "`\""))
-	}
-	return elems, true
 }
 
 // isQuireType reports whether t (after pointer deref) is a named type

@@ -6,13 +6,13 @@
 // no out-of-range shifts in bit manipulation, no unchecked NaR on
 // error-metric paths, no lock copies or racy WaitGroup use, no leaky
 // goroutine loops, no silently dropped errors, no quire accumulation
-// without an overflow/NaR check, no CSV-schema or error-code drift).
+// without an overflow/NaR check, no error-code drift).
 //
 // The engine runs in two passes. Pass 1 (facts.go) builds a repo-wide
-// fact index — exported struct field sets, string-literal registries,
-// error-code constants, call-graph edges into quire accumulation APIs
-// — so pass 2's rules can enforce invariants that span declarations
-// and packages. Pass 2 runs the rules per package, in parallel.
+// fact index — error-code constants and call-graph edges into quire
+// accumulation APIs — so pass 2's rules can enforce invariants that
+// span declarations and packages. Pass 2 runs the rules over each
+// package in turn.
 //
 // The analyzer is built only on the standard library (go/parser,
 // go/ast, go/token, go/types, go/importer) — the module has zero
@@ -26,10 +26,8 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one finding: a position, the rule that fired, and a
@@ -90,11 +88,6 @@ func (p *Pass) Diag(rule Rule, pos token.Pos, format string, args ...interface{}
 // TypeOf returns the type of e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// IsTestFile reports whether pos lies in a *_test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // AllRules returns the default rule set in stable order.
 func AllRules() []Rule {
 	return []Rule{
@@ -109,7 +102,6 @@ func AllRules() []Rule {
 		NewPkgDoc(),
 		NewExportDoc(),
 		NewQuireGuard(),
-		NewCSVHeader(),
 		NewBudgetScale(),
 		NewErrCode(),
 	}
@@ -134,49 +126,26 @@ func RuleByID(id string) (Rule, bool) {
 var ignoreRx = regexp.MustCompile(`^//positlint:ignore\s+([\w*,-]+)(\s+\S.*)?$`)
 
 // Runner executes a rule set over packages and filters suppressions.
-//
-// Run is two-pass: it first builds the repo-wide fact index over every
-// package it was handed (so rules see cross-package facts), then lints
-// the packages in parallel.
 type Runner struct {
 	Rules    []Rule        // rules to execute, in report order
 	Suppress *Suppressions // optional file-based suppressions
-	Jobs     int           // max concurrent packages; <=0 means GOMAXPROCS
 }
 
-// Run lints every package and returns the surviving diagnostics
-// sorted by file, line, column, rule.
+// Run lints every package and returns the diagnostics that no inline
+// directive and no file-based suppression covers, sorted by file,
+// line, column, rule.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
-	facts := BuildFacts(pkgs)
-
-	// Per-package parallelism: rules are stateless and the typed ASTs
-	// are read-only after load, so packages lint independently.
-	jobs := r.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	results := make([][]Diagnostic, len(pkgs))
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i := range pkgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = r.lintPackage(pkgs[i], facts)
-		}(i)
-	}
-	wg.Wait()
-
-	// The file-based suppressions apply last, to each package's
-	// post-inline-ignore diagnostic set.
+	raw, directives, bad := analyze(pkgs, r.Rules)
 	var out []Diagnostic
-	for _, diags := range results {
-		for _, d := range diags {
-			if r.Suppress != nil && r.Suppress.Match(d) {
-				continue
-			}
+	for _, d := range raw {
+		if !ignored(directives, d) && !r.Suppress.Match(d) {
+			out = append(out, d)
+		}
+	}
+	// No inline directive waives a malformed directive; a
+	// suppression-file entry can.
+	for _, d := range bad {
+		if !r.Suppress.Match(d) {
 			out = append(out, d)
 		}
 	}
@@ -184,24 +153,34 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	return out
 }
 
-// lintPackage produces one package's diagnostics (after inline-ignore
-// filtering, before file-based suppression).
-func (r *Runner) lintPackage(pkg *Package, facts *FactIndex) []Diagnostic {
-	pass := pkg.pass()
-	pass.Facts = facts
-	entries, bad := inlineIgnores(pass)
-	ignores := buildIgnoreSet(entries)
-	out := append([]Diagnostic(nil), bad...)
-	for _, rule := range r.Rules {
-		for _, d := range rule.Check(pass) {
-			if ignores.match(d) {
-				continue
-			}
-			out = append(out, d)
+// analyze is the engine pass Run and FindStale share: it builds the
+// fact index over every package (pass 1), then runs each rule over
+// each package in turn (pass 2). It returns the raw diagnostics,
+// before any suppression, the well-formed inline directives, and a
+// finding for each malformed one.
+func analyze(pkgs []*Package, rules []Rule) (raw []Diagnostic, directives []ignoreEntry, bad []Diagnostic) {
+	facts := BuildFacts(pkgs)
+	for _, pkg := range pkgs {
+		pass := pkg.pass()
+		pass.Facts = facts
+		entries, malformed := inlineIgnores(pass)
+		directives = append(directives, entries...)
+		bad = append(bad, malformed...)
+		for _, rule := range rules {
+			raw = append(raw, rule.Check(pass)...)
 		}
 	}
-	sortDiagnostics(out)
-	return out
+	return raw, directives, bad
+}
+
+// ignored reports whether any inline directive covers d.
+func ignored(directives []ignoreEntry, d Diagnostic) bool {
+	for _, e := range directives {
+		if e.matches(d) {
+			return true
+		}
+	}
+	return false
 }
 
 // sortDiagnostics orders by file, line, column, rule. The sort is
@@ -224,44 +203,10 @@ func sortDiagnostics(out []Diagnostic) {
 }
 
 // ignoreEntry is one well-formed //positlint:ignore directive: where
-// it sits and which rules it waives. Kept as a list (not just the
-// line-indexed set) so -prune can ask whether each directive still
-// suppresses anything.
+// it sits and which rules it waives.
 type ignoreEntry struct {
 	pos   token.Position // directive position, module-relative
 	rules []string       // rule IDs ("*" = all)
-}
-
-// ignoreSet records inline //positlint:ignore comments per file line.
-type ignoreSet map[string]map[int][]string // file -> line -> rule IDs ("*" = all)
-
-func (s ignoreSet) match(d Diagnostic) bool {
-	lines := s[d.Pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
-		for _, id := range lines[line] {
-			if id == "*" || id == d.RuleID {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// buildIgnoreSet indexes directives by file and line for matching.
-func buildIgnoreSet(entries []ignoreEntry) ignoreSet {
-	set := ignoreSet{}
-	for _, e := range entries {
-		lines := set[e.pos.Filename]
-		if lines == nil {
-			lines = map[int][]string{}
-			set[e.pos.Filename] = lines
-		}
-		lines[e.pos.Line] = append(lines[e.pos.Line], e.rules...)
-	}
-	return set
 }
 
 // matches reports whether the directive covers d: same file, on the

@@ -13,6 +13,7 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -38,31 +39,11 @@ func (s Stale) String() string {
 // must be the full one for the answer to be meaningful: an entry for a
 // rule that simply was not run would be falsely reported stale.
 func FindStale(pkgs []*Package, rules []Rule, sup *Suppressions) []Stale {
-	facts := BuildFacts(pkgs)
-
-	// Raw diagnostics and the live inline directives, per package.
-	var raw []Diagnostic
-	var directives []ignoreEntry
-	for _, pkg := range pkgs {
-		pass := pkg.pass()
-		pass.Facts = facts
-		entries, _ := inlineIgnores(pass) // malformed directives are lint findings, not suppressions
-		directives = append(directives, entries...)
-		for _, rule := range rules {
-			raw = append(raw, rule.Check(pass)...)
-		}
-	}
+	raw, directives, _ := analyze(pkgs, rules) // malformed directives are lint findings, not suppressions
 
 	var stale []Stale
 	for _, e := range directives {
-		used := false
-		for _, d := range raw {
-			if e.matches(d) {
-				used = true
-				break
-			}
-		}
-		if !used {
+		if !slices.ContainsFunc(raw, e.matches) {
 			stale = append(stale, Stale{
 				Kind:  "ignore",
 				Where: fmt.Sprintf("%s:%d", e.pos.Filename, e.pos.Line),
@@ -71,26 +52,20 @@ func FindStale(pkgs []*Package, rules []Rule, sup *Suppressions) []Stale {
 			})
 		}
 	}
-	if sup != nil {
-		for _, e := range sup.Entries {
-			used := false
-			for _, d := range raw {
-				if e.Matches(d) {
-					used = true
-					break
-				}
+	if sup == nil {
+		return stale
+	}
+	for _, e := range sup.Entries {
+		if !slices.ContainsFunc(raw, e.Matches) {
+			where := e.Path
+			if e.Line != 0 {
+				where = fmt.Sprintf("%s:%d", e.Path, e.Line)
 			}
-			if !used {
-				where := e.Path
-				if e.Line != 0 {
-					where = fmt.Sprintf("%s:%d", e.Path, e.Line)
-				}
-				stale = append(stale, Stale{
-					Kind:   "suppress",
-					Where:  where,
-					Detail: fmt.Sprintf("entry %q matches no diagnostic; delete it from .positlint.suppress", e.Rule+" "+e.Path),
-				})
-			}
+			stale = append(stale, Stale{
+				Kind:   "suppress",
+				Where:  where,
+				Detail: fmt.Sprintf("entry %q matches no diagnostic; delete it from .positlint.suppress", e.Rule+" "+e.Path),
+			})
 		}
 	}
 	return stale

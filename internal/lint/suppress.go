@@ -80,8 +80,12 @@ func LoadSuppressions(file string) (*Suppressions, error) {
 	return ParseSuppressions(file, string(data))
 }
 
-// Match reports whether d is covered by any entry.
+// Match reports whether d is covered by any entry. A nil set covers
+// nothing.
 func (s *Suppressions) Match(d Diagnostic) bool {
+	if s == nil {
+		return false
+	}
 	for _, e := range s.Entries {
 		if e.Matches(d) {
 			return true

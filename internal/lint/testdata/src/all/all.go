@@ -62,14 +62,6 @@ func leakQuire(xs []int64) {
 	}
 }
 
-// Row mirrors rowHeader, which is one column short.
-type Row struct {
-	Name string // row label
-	N    int    // sample count
-}
-
-var rowHeader = []string{"name"}
-
 // Budget is the knob set budgetscale watches for.
 type Budget struct {
 	TrialsPerBit int // fault-injection trials per bit

@@ -5,7 +5,7 @@ import "context"
 
 func captureForVar(n int, out chan<- int) {
 	for i := 0; i < n; i++ {
-		go func() { // want "captures a loop variable"
+		go func() { // clean: since go 1.22 each iteration has its own i
 			out <- i
 		}()
 	}
@@ -13,7 +13,7 @@ func captureForVar(n int, out chan<- int) {
 
 func captureRangeVar(xs []int, out chan<- int) {
 	for _, x := range xs {
-		go func() { // want "captures a loop variable"
+		go func() { // clean: since go 1.22 each iteration has its own x
 			out <- x
 		}()
 	}

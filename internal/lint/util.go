@@ -27,11 +27,6 @@ func walkFuncs(pass *Pass, fn func(name string, ftype *ast.FuncType, body *ast.B
 	}
 }
 
-// inspectWithin walks body including nested function literals.
-func inspectWithin(body ast.Node, fn func(ast.Node) bool) {
-	ast.Inspect(body, fn)
-}
-
 // isFloat reports whether t's underlying type is a floating-point
 // basic type (float32, float64, or an untyped float constant).
 func isFloat(t types.Type) bool {

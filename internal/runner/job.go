@@ -33,13 +33,3 @@ func (r *Report) Outcome() string {
 		return StateComplete
 	}
 }
-
-// ShardsFor returns the number of shards a campaign over a width-bit
-// codec is cut into at the given granularity (bitsPerShard <= 0 uses
-// the default of 8) — the denominator for progress reporting.
-func ShardsFor(width, bitsPerShard int) int {
-	if bitsPerShard <= 0 {
-		bitsPerShard = 8
-	}
-	return (width + bitsPerShard - 1) / bitsPerShard
-}

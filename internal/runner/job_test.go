@@ -79,19 +79,3 @@ func TestReportOutcome(t *testing.T) {
 		}
 	}
 }
-
-func TestShardsFor(t *testing.T) {
-	cases := []struct{ width, per, want int }{
-		{8, 8, 1},
-		{16, 8, 2},
-		{32, 8, 4},
-		{32, 5, 7},
-		{16, 4, 4},
-		{32, 0, 4}, // 0 means the default granularity of 8
-	}
-	for _, c := range cases {
-		if got := ShardsFor(c.width, c.per); got != c.want {
-			t.Errorf("ShardsFor(%d, %d) = %d, want %d", c.width, c.per, got, c.want)
-		}
-	}
-}

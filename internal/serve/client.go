@@ -94,7 +94,7 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 // requests (GETs, worker registration, inject queries) on transport
 // errors and 5xx answers, and retries 429 rejections for any method —
 // a queue_full submission creates no job, so resubmitting cannot
-// duplicate work — honoring the server's Retry-After. RunShard is
+// duplicate work — honoring the server's Retry-After. RunShardStats is
 // deliberately not retried here: the runner's watchdog-and-backoff
 // loop owns shard retries, and double-retrying would stack budgets.
 func (c *Client) WithRetry(p RetryPolicy) *Client {
@@ -371,14 +371,6 @@ func (c *Client) RegisterWorker(ctx context.Context, workerURL string) error {
 type ShardWireStats struct {
 	// BodyBytes is the response body size in bytes.
 	BodyBytes int64
-}
-
-// RunShard executes one shard on a worker (POST /v1/shards). It is
-// RunShardStats without the transport telemetry — the form external
-// callers (the positres facade) use.
-func (c *Client) RunShard(ctx context.Context, req ShardRequest) ([]core.Trial, error) {
-	trials, _, err := c.RunShardStats(ctx, req)
-	return trials, err
 }
 
 // RunShardStats executes one shard on a worker (POST /v1/shards) and

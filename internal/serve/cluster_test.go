@@ -215,9 +215,9 @@ func TestRunShardEndpoint(t *testing.T) {
 		t.Fatal(verr)
 	}
 	ctx := context.Background()
-	got, err := client.RunShard(ctx, ShardRequest{Spec: *cs, BitLo: 0, BitHi: 8})
+	got, _, err := client.RunShardStats(ctx, ShardRequest{Spec: *cs, BitLo: 0, BitHi: 8})
 	if err != nil {
-		t.Fatalf("RunShard: %v", err)
+		t.Fatalf("RunShardStats: %v", err)
 	}
 
 	// The worker must produce exactly what the local engine produces.
@@ -263,7 +263,7 @@ func TestRunShardSharesDataset(t *testing.T) {
 			wg.Add(1)
 			go func(req ShardRequest) {
 				defer wg.Done()
-				trials, err := client.RunShard(context.Background(), req)
+				trials, _, err := client.RunShardStats(context.Background(), req)
 				if err == nil && len(trials) != 8*2 {
 					err = fmt.Errorf("%s [%d, %d): %d trials", format, req.BitLo, req.BitHi, len(trials))
 				}

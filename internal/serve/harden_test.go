@@ -145,7 +145,7 @@ func shardReq() ShardRequest {
 func TestRunShardIntegrityThroughCleanProxy(t *testing.T) {
 	_, worker := newTestServer(t, Config{})
 	ctx := context.Background()
-	want, err := NewClient(worker.URL, nil).RunShard(ctx, shardReq())
+	want, _, err := NewClient(worker.URL, nil).RunShardStats(ctx, shardReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRunShardIntegrityThroughCleanProxy(t *testing.T) {
 	}
 	pts := httptest.NewServer(p)
 	defer pts.Close()
-	got, err := NewClient(pts.URL, nil).RunShard(ctx, shardReq())
+	got, _, err := NewClient(pts.URL, nil).RunShardStats(ctx, shardReq())
 	if err != nil {
 		t.Fatalf("clean proxy tripped integrity check: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestRunShardIntegrityThroughCleanProxy(t *testing.T) {
 
 func TestRunShardRejectsCorruptAndTruncatedBodies(t *testing.T) {
 	_, worker := newTestServer(t, Config{})
-	good, err := NewClient(worker.URL, nil).RunShard(context.Background(), shardReq())
+	good, _, err := NewClient(worker.URL, nil).RunShardStats(context.Background(), shardReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRunShardRejectsCorruptAndTruncatedBodies(t *testing.T) {
 			}
 			pts := httptest.NewServer(p)
 			defer pts.Close()
-			trials, err := NewClient(pts.URL, nil).RunShard(context.Background(), shardReq())
+			trials, _, err := NewClient(pts.URL, nil).RunShardStats(context.Background(), shardReq())
 			if err == nil {
 				t.Fatalf("%s body accepted: %d trials merged", tc.name, len(trials))
 			}
@@ -238,7 +238,7 @@ func TestRunShardForwardsDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := NewClient(ts.URL, nil).RunShard(ctx, shardReq()); err != nil {
+	if _, _, err := NewClient(ts.URL, nil).RunShardStats(ctx, shardReq()); err != nil {
 		// The fake answers with an empty body; only the deadline header
 		// matters here.
 		t.Logf("shard decode (expected): %v", err)

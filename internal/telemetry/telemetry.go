@@ -5,10 +5,10 @@
 // paths (a handful of atomic adds per bit position or shard — never
 // per trial), cmd/positcampaign exposes them through expvar, an
 // opt-in pprof HTTP endpoint, and a schema-versioned JSON snapshot,
-// and cmd/positbench records them into the BENCH_*.json perf
-// trajectory. All methods are safe for concurrent use and nil-safe on
-// *Metrics, so instrumented code paths need no "is telemetry on"
-// branches beyond carrying the pointer.
+// cmd/positserve serves them on /metrics, and perfbench reads both
+// into its per-layer rows. All methods are safe for concurrent use
+// and nil-safe on *Metrics, so instrumented code paths need no "is
+// telemetry on" branches beyond carrying the pointer.
 package telemetry
 
 import (

@@ -62,14 +62,25 @@ banner "positlint -prune: suppressions must all still match something"
 $GO run ./cmd/positlint -prune ./...
 echo "no stale suppressions"
 
-banner "positlint self-test: fixtures must still trip the rules"
-if $GO run ./cmd/positlint ./internal/lint/testdata/src/all >/dev/null 2>&1; then
-	echo "positlint exited 0 on the all-rules fixture; the analyzer is broken"
+banner "positlint self-test: every fixture trips its own rule"
+# A built binary, not go run: go run reports every failing exit as 1,
+# and an unknown rule (exit 2) must not pass for a finding.
+lintdir=$(mktemp -d)
+trap 'rm -rf "$lintdir"' EXIT
+$GO build -o "$lintdir/positlint" ./cmd/positlint
+code=0
+"$lintdir/positlint" ./internal/lint/testdata/src/all >/dev/null 2>&1 || code=$?
+if [ "$code" -ne 1 ]; then
+	echo "positlint exited $code on the all-rules fixture, want 1; the analyzer is broken"
 	exit 1
 fi
-for rule in quireguard csvheader budgetscale errcode; do
-	if $GO run ./cmd/positlint ./internal/lint/testdata/src/$rule >/dev/null 2>&1; then
-		echo "positlint exited 0 on the $rule fixture; the $rule rule is broken"
+for dir in internal/lint/testdata/src/*/; do
+	rule=$(basename "$dir")
+	[ "$rule" = all ] && continue
+	code=0
+	"$lintdir/positlint" -rules "$rule" "./$dir" >/dev/null 2>&1 || code=$?
+	if [ "$code" -ne 1 ]; then
+		echo "positlint -rules $rule exited $code on its fixture, want 1; the $rule rule is broken or gone"
 		exit 1
 	fi
 done
