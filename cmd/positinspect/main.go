@@ -101,20 +101,12 @@ func sweep(codec numfmt.Codec, bits uint64) {
 	t := &textplot.Table{Header: []string{
 		"pos", "field", "class", "faulty bits", "faulty value", "abs err", "rel err",
 	}}
-	if pc, ok := codec.(*numfmt.PositCodec); ok {
-		for pos := codec.Width() - 1; pos >= 0; pos-- {
-			pf := analysis.AnalyzePositFlip(pc.Cfg, bits, pos)
-			t.AddRow(strconv.Itoa(pos), codec.FieldAt(bits, pos), pf.Class.String(),
-				fmt.Sprintf("%0*x", codec.Width()/4, pf.NewBits),
-				fmtVal(pf.NewVal), fmtVal(pf.AbsErr), fmtVal(pf.RelErr))
-		}
-	} else if ic, ok := codec.(*numfmt.IEEECodec); ok {
-		for pos := codec.Width() - 1; pos >= 0; pos-- {
-			fl := analysis.AnalyzeIEEEFlip(ic.Fmt, bits, pos)
-			t.AddRow(strconv.Itoa(pos), fl.Field.String(), fl.Outcome.String(),
-				fmt.Sprintf("%0*x", codec.Width()/4, fl.NewBits),
-				fmtVal(fl.NewVal), fmtVal(fl.AbsErr), fmtVal(fl.RelErr))
-		}
+	flips := analysis.Sweep(codec, bits)
+	for pos := len(flips) - 1; pos >= 0; pos-- {
+		f := flips[pos]
+		t.AddRow(strconv.Itoa(pos), f.FieldName, string(f.Class),
+			fmt.Sprintf("%0*x", codec.Width()/4, f.FaultyBits),
+			fmtVal(f.FaultyVal), fmtVal(f.AbsErr), fmtVal(f.RelErr))
 	}
 	fmt.Print(t.Render())
 }

@@ -6,6 +6,8 @@ package positres_test
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -15,6 +17,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"positres/internal/numfmt"
 )
 
 // buildTool compiles a cmd into a temp dir once per test run.
@@ -38,21 +42,60 @@ func run(t *testing.T, bin string, args ...string) (string, error) {
 	return string(out), err
 }
 
+// positinspectPins are SHA-256 digests of positinspect's full stdout,
+// one per argument list: every registered format's sweep of a value
+// above one and a negative value below one, the special patterns zero,
+// NaR and ieee16 +Inf, a posit16 pattern with bits above the format
+// width, and a describe-only run. A change to any printed byte of the
+// fields, the sweep table or the flip classes fails the test.
+var positinspectPins = map[string]string{
+	"-value 186.25 -fmt bfloat16 -sweep":   "f5ace2a1ce7a34cffd0bf27fd89a581eaa282dc96d308dc8e991c771ecde7347",
+	"-value -3e-5 -fmt bfloat16 -sweep":    "d2dff397641e8411e6b6e45cbf4b5a0235bdef0ed88b245a8659751879939ec5",
+	"-value 186.25 -fmt ieee16 -sweep":     "0324a8a6aea62338e1288a7de702d2f236def61cbcad878c083b3dd383d00d3e",
+	"-value -3e-5 -fmt ieee16 -sweep":      "df2355304d28ddc83d2b11afcc2bf53d5ece2839fdd73004eb8dce012c20c03b",
+	"-value 186.25 -fmt ieee32 -sweep":     "f64274ddcfa1c27a32cc547cc76859e271c2f60a87262459ccdf6ff3132add3e",
+	"-value -3e-5 -fmt ieee32 -sweep":      "99067696e95c27a24eaca01bf71c607d9976c07f6f2291305b736f18c9d1832a",
+	"-value 186.25 -fmt ieee64 -sweep":     "ff118088a51c2336d8ebdc04136734d9bb05e24c02d9500264f8e6af5d331da0",
+	"-value -3e-5 -fmt ieee64 -sweep":      "ceb90d85e94e11460338c76b0af9136cbfb45b4aaaf8febab1d00fda12947727",
+	"-value 186.25 -fmt posit16 -sweep":    "1748944a6845db02b8cd723233b23ddd7a27292ee551343c29577b621159c1f6",
+	"-value -3e-5 -fmt posit16 -sweep":     "d775b45ce6f15aa97dd67cc4a97b849751b5921e2bfdebc87c44ccf726e002f2",
+	"-value 186.25 -fmt posit32 -sweep":    "78c03cef9b4551ef13ed1c514991371524084ea6ca93263b33793ccf7b797095",
+	"-value -3e-5 -fmt posit32 -sweep":     "4f0e0e239b05118621675a8a428214557b83e851f71dbb7a3dc70c12f6966a5f",
+	"-value 186.25 -fmt posit32es0 -sweep": "2bfb910590d14f5c92fb053a79ab5fc6598fc36ba0d24e953fbf54a9b124f337",
+	"-value -3e-5 -fmt posit32es0 -sweep":  "33d8e91c2afaf8066378345d098a048f7d22cbec24fd8a0669bf6d393eb4de5c",
+	"-value 186.25 -fmt posit32es1 -sweep": "9409a5be173971ab99d246dc872129c3ab4d2912577ec38a8d54f9c595c3ea3c",
+	"-value -3e-5 -fmt posit32es1 -sweep":  "2cf916e9cca7176bf6e070c25cee2b807fe71026c78cc3d139c5be9d802c7fe5",
+	"-value 186.25 -fmt posit32es3 -sweep": "010b800407bf00bfe26797ba4c2d75a3e87a3458e94a4ca5de6bdd08d886c737",
+	"-value -3e-5 -fmt posit32es3 -sweep":  "74e69b1c2eb433b14db6e9820738b25b765b92859d79aea28e7afb1aa69638d2",
+	"-value 186.25 -fmt posit64 -sweep":    "1547b3c1db323f0c2f7151efd9b370cf361aa51f6f72d9ceb1db24c8642aaef3",
+	"-value -3e-5 -fmt posit64 -sweep":     "b376fe6e55324f2ad8048afd11d975d63d4c3c27bd0eb6f7e9d45ce44972226d",
+	"-value 186.25 -fmt posit8 -sweep":     "dafcee2d0f22225feb2f0941892794cec47273b5494dcbd993dea4d0f94941d9",
+	"-value -3e-5 -fmt posit8 -sweep":      "a77af8c32536df17a9d622ecee95123f5a3434505cbdafde87a985b78a9265c6",
+	"-bits 0 -fmt posit8 -sweep":           "693d84ef55ff64c01074dda418977e16fd3e224e442e36a84667d82e049a6ad3",
+	"-bits 0x8000 -fmt posit16 -sweep":     "c5e5be3e0edec41d6cf5150a059c471c0a1b0fb3234f85757314917e5065cb06",
+	"-bits 0x7c00 -fmt ieee16 -sweep":      "7ece0139a20b220007af581d7e565c6ad8acb7c4fe4c4342d29db8f3217b5b70",
+	"-bits 0x1c000 -fmt posit16 -sweep":    "c449663448a5ecb8c8d87dca994002cb1e8d991d2c4d8b388ca2077fbcb2db5a",
+	"-bits 0x3F800000 -fmt ieee32":         "170a7d9e719c3583e132a706f1344e1df22c07bec9a08a3e2e535bd785c6eb2f",
+}
+
 func TestCLIPositinspect(t *testing.T) {
 	bin := buildTool(t, "positinspect")
-	out, err := run(t, bin, "-value", "186.25", "-fmt", "posit32", "-sweep")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	for _, want := range []string{"posit32", "0|110|11|", "regime-expand", "sign", "fraction"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("inspect output missing %q:\n%s", want, out)
+	for _, name := range numfmt.Names() {
+		for _, v := range []string{"186.25", "-3e-5"} {
+			if args := "-value " + v + " -fmt " + name + " -sweep"; positinspectPins[args] == "" {
+				t.Errorf("no pinned digest for %q: pin every registered format", args)
+			}
 		}
 	}
-	// IEEE mode with raw bits.
-	out, err = run(t, bin, "-bits", "0x3F800000", "-fmt", "ieee32")
-	if err != nil || !strings.Contains(out, "value:   1") {
-		t.Errorf("ieee inspect: %v\n%s", err, out)
+	for args, want := range positinspectPins {
+		out, err := exec.Command(bin, strings.Fields(args)...).Output()
+		if err != nil {
+			t.Errorf("positinspect %s: %v", args, err)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != want {
+			t.Errorf("positinspect %s: stdout sha256 %s, want %s:\n%s", args, got, want, out)
+		}
 	}
 	// Missing input exits nonzero.
 	if _, err := run(t, bin); err == nil {

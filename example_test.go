@@ -26,26 +26,28 @@ func ExamplePosit32_Add() {
 	// 0.3000000007
 }
 
-func ExampleAnalyzePositFlip() {
+func ExampleAnalyzeFlip_posit() {
 	// Flip the terminating regime bit of a large posit: the regime
 	// expands and the magnitude explodes (paper Fig. 12).
+	p32, _ := positres.LookupFormat("posit32")
 	bits := uint64(positres.P32FromFloat64(186250).Bits())
 	f := positres.DecodePositFields(positres.Std32, bits)
 	rkPos := positres.Std32.N - 2 - f.K
-	flip := positres.AnalyzePositFlip(positres.Std32, bits, rkPos)
+	flip := positres.AnalyzeFlip(p32, bits, rkPos)
 	fmt.Println(flip.Class)
-	fmt.Printf("%.0f -> %.0f\n", flip.OldVal, flip.NewVal)
+	fmt.Printf("%.0f -> %.0f\n", flip.ReprValue, flip.FaultyVal)
 	// Output:
 	// regime-expand
 	// 186250 -> 7725696
 }
 
-func ExampleAnalyzeIEEEFlip() {
+func ExampleAnalyzeFlip_ieee() {
 	// Flip an upper exponent bit of an IEEE float: ×2^64.
+	ieee32, _ := positres.LookupFormat("ieee32")
 	bits := positres.Binary32.Encode(186.25)
-	flip := positres.AnalyzeIEEEFlip(positres.Binary32, bits, 29)
-	fmt.Println(flip.Field)
-	fmt.Printf("%.4g\n", flip.NewVal)
+	flip := positres.AnalyzeFlip(ieee32, bits, 29)
+	fmt.Println(flip.FieldName)
+	fmt.Printf("%.4g\n", flip.FaultyVal)
 	// Output:
 	// exponent
 	// 3.436e+21

@@ -16,14 +16,14 @@ func main() {
 	// Posit side: encode, flip, decode.
 	p := positres.P32FromFloat64(value)
 	fmt.Printf("posit32 %g = %s\n", value, positres.PositBitString(positres.Std32, uint64(p.Bits())))
-	pFlip := positres.AnalyzePositFlip(positres.Std32, uint64(p.Bits()), bit)
+	pFlip := positres.AnalyzeFlip(mustFormat("posit32"), uint64(p.Bits()), bit)
 	fmt.Printf("  flip bit %d (%s): %g -> %g   rel err %.3g\n",
-		bit, pFlip.Class, pFlip.OldVal, pFlip.NewVal, pFlip.RelErr)
+		bit, pFlip.Class, pFlip.ReprValue, pFlip.FaultyVal, pFlip.RelErr)
 
 	// IEEE side: same bit position.
-	iFlip := positres.AnalyzeIEEEFlip(positres.Binary32, positres.Binary32.Encode(value), bit)
+	iFlip := positres.AnalyzeFlip(mustFormat("ieee32"), positres.Binary32.Encode(value), bit)
 	fmt.Printf("ieee32  %g: flip bit %d (%s): %g -> %g   rel err %.3g\n",
-		value, bit, iFlip.Field, iFlip.OldVal, iFlip.NewVal, iFlip.RelErr)
+		value, bit, iFlip.FieldName, iFlip.ReprValue, iFlip.FaultyVal, iFlip.RelErr)
 
 	// The posit stays within a few orders of magnitude; the IEEE float
 	// is scaled by 2^64. Now run a miniature campaign over a synthetic
@@ -37,11 +37,7 @@ func main() {
 	cfg := positres.DefaultCampaignConfig()
 	cfg.TrialsPerBit = 40
 	for _, name := range []string{"posit32", "ieee32"} {
-		codec, err := positres.LookupFormat(name)
-		if err != nil {
-			panic(err)
-		}
-		res, err := positres.RunCampaign(cfg, codec, field.Key(), data)
+		res, err := positres.RunCampaign(cfg, mustFormat(name), field.Key(), data)
 		if err != nil {
 			panic(err)
 		}
@@ -53,4 +49,12 @@ func main() {
 			}
 		}
 	}
+}
+
+func mustFormat(name string) positres.Codec {
+	codec, err := positres.LookupFormat(name)
+	if err != nil {
+		panic(err)
+	}
+	return codec
 }

@@ -11,14 +11,18 @@ import (
 	"positres"
 )
 
-func show(label string, bits uint64, pos int) positres.PositFlip {
-	pf := positres.AnalyzePositFlip(positres.Std32, bits, pos)
+func show(label string, bits uint64, pos int) positres.Flip {
+	p32, err := positres.LookupFormat("posit32")
+	if err != nil {
+		panic(err)
+	}
+	pf := positres.AnalyzeFlip(p32, bits, pos)
 	fmt.Printf("%s\n", label)
 	fmt.Printf("  before: %s = %g (k=%d)\n",
-		positres.PositBitString(positres.Std32, pf.OldBits), pf.OldVal, pf.OldK)
+		positres.PositBitString(positres.Std32, pf.Bits), pf.ReprValue, pf.RegimeK)
 	fmt.Printf("  flip bit %d [%s]\n", pos, pf.Class)
 	fmt.Printf("  after:  %s = %g (k=%d)\n",
-		positres.PositBitString(positres.Std32, pf.NewBits), pf.NewVal, pf.NewK)
+		positres.PositBitString(positres.Std32, pf.FaultyBits), pf.FaultyVal, pf.FaultyK)
 	fmt.Printf("  abs err %.4g, rel err %.4g\n\n", pf.AbsErr, pf.RelErr)
 	return pf
 }

@@ -1,210 +1,141 @@
 // Package analysis implements the paper's analytical companion pieces:
-// a mathematical single-bit-flip outcome model for posits (the
-// "mathematical analysis could be done to predict potential error"
-// future-work item), classification of the flip mechanisms the paper
-// describes in §5 (regime expansion, regime inversion, sign-magnitude
-// coupling), and the decimal-accuracy-vs-magnitude profile of Fig. 7.
+// one analysis of a single-bit flip for every codec (Analyze, Sweep),
+// built on the derivation campaigns use and naming the flip mechanisms
+// the paper describes in §5 (regime expansion, regime inversion,
+// sign-magnitude coupling); closed forms that predict a posit flip's
+// value without decoding the flipped pattern (the "mathematical
+// analysis could be done to predict potential error" future-work
+// item); and the decimal-accuracy-vs-magnitude profile of Fig. 7.
 package analysis
 
 import (
-	"fmt"
 	"math"
 
-	"positres/internal/ieee754"
+	"positres/internal/core"
+	"positres/internal/numfmt"
 	"positres/internal/posit"
 	"positres/internal/qcat"
 )
 
-// PositFlipClass names the mechanism by which a single-bit flip
-// perturbs a posit, following the paper's §5 taxonomy.
-type PositFlipClass int
+// Class names the mechanism by which a single-bit flip perturbs a
+// value. A posit flip's class is one of the constants below, the
+// paper's §5 taxonomy; an IEEE flip's is the name of the kind of
+// pattern the flip produces (ieee754.FlipOutcome: "finite", "nan",
+// "inf", "zero" or "subnormal").
+type Class string
 
 const (
 	// ClassSign: the sign bit flipped. Unlike IEEE-754, this changes
 	// the magnitude too (§5.7).
-	ClassSign PositFlipClass = iota
+	ClassSign Class = "sign"
 	// ClassRegimeExpand: the terminating regime bit R_k flipped, so
 	// the run absorbs the following bits and the regime grows —
 	// the dominant error for |v| > 1 (§5.4.1, Fig. 12).
-	ClassRegimeExpand
+	ClassRegimeExpand Class = "regime-expand"
 	// ClassRegimeShrink: a run bit R_i (0 < i < k) flipped, cutting
 	// the run short and shrinking the magnitude (§5.4.1, Fig. 13).
-	ClassRegimeShrink
+	ClassRegimeShrink Class = "regime-shrink"
 	// ClassRegimeInvert: the leading run bit R_0 flipped with k > 1,
 	// inverting the regime direction (magnitude jumps across 1).
-	ClassRegimeInvert
+	ClassRegimeInvert Class = "regime-invert"
 	// ClassRegimeInvertExpand: the sole regime run bit flipped (k = 1),
 	// inverting AND expanding the regime — the paper's Fig. 15 edge
 	// case with absolute-error spikes up to 1e11.
-	ClassRegimeInvertExpand
+	ClassRegimeInvertExpand Class = "regime-invert-expand"
 	// ClassExponent: an exponent bit flipped (≤ ×4 magnitude shift,
 	// §5.6).
-	ClassExponent
+	ClassExponent Class = "exponent"
 	// ClassFraction: a fraction bit flipped (linear perturbation,
 	// §5.5).
-	ClassFraction
+	ClassFraction Class = "fraction"
 	// ClassToNaR / ClassFromNaR / ClassFromZero: special patterns.
-	ClassToNaR
-	ClassFromNaR
-	ClassFromZero
+	ClassToNaR    Class = "to-NaR"
+	ClassFromNaR  Class = "from-NaR"
+	ClassFromZero Class = "from-zero"
 )
 
-func (c PositFlipClass) String() string {
-	switch c {
-	case ClassSign:
-		return "sign"
-	case ClassRegimeExpand:
-		return "regime-expand"
-	case ClassRegimeShrink:
-		return "regime-shrink"
-	case ClassRegimeInvert:
-		return "regime-invert"
-	case ClassRegimeInvertExpand:
-		return "regime-invert-expand"
-	case ClassExponent:
-		return "exponent"
-	case ClassFraction:
-		return "fraction"
-	case ClassToNaR:
-		return "to-NaR"
-	case ClassFromNaR:
-		return "from-NaR"
-	case ClassFromZero:
-		return "from-zero"
-	}
-	return fmt.Sprintf("PositFlipClass(%d)", int(c))
+// Flip is the analysis of one single-bit flip of an encoded pattern:
+// core.Deriver.FromPattern's derivation, the one every campaign trial
+// and /v1/inject share, with the error measured against the decoded
+// pattern and the flip's mechanism.
+type Flip struct {
+	core.Flip     // the decoded pattern, the faulty pattern and value, the field and k
+	qcat.PointErr // FaultyVal measured against ReprValue
+
+	Pos  int    // flipped bit position, 0 = LSB
+	Bits uint64 // the pattern, masked to the codec width
+	// Class is the flip's §5 mechanism for a posit, the kind of
+	// faulty pattern for an IEEE format.
+	Class Class
+	// FaultyK is the regime run length k of FaultyBits, and RegimeDelta
+	// the change in regime value r from Bits to FaultyBits (each unit
+	// scales by useed = 2^2^ES). Both are 0 for IEEE formats.
+	FaultyK, RegimeDelta int
 }
 
-// PositFlip is the analytical outcome of one bit flip in a posit.
-type PositFlip struct {
-	Cfg posit.Config // posit configuration (width, es) of the pattern
-	Pos int          // flipped bit position, 0 = LSB
-
-	OldBits, NewBits uint64  // patterns before and after the flip
-	OldVal, NewVal   float64 // decoded values before and after
-
-	Class PositFlipClass // which posit field the flip landed in
-	// OldK/NewK: regime run lengths before and after; RegimeDelta is
-	// the change in the regime *value* r (each unit scales by
-	// useed = 2^2^ES).
-	OldK, NewK  int
-	RegimeDelta int // change in regime value r (see OldK/NewK above)
-
-	AbsErr       float64 // |NewVal - OldVal|
-	RelErr       float64 // AbsErr / |OldVal|, +Inf when OldVal is 0
-	Catastrophic bool    // RelErr above the campaign threshold (or NaR)
+// Analyze predicts the outcome of flipping bit pos of the pattern
+// bits of codec, without running an injection. Bits above the codec
+// width are ignored.
+func Analyze(codec numfmt.Codec, bits uint64, pos int) Flip {
+	w := codec.Width()
+	bits &= ^uint64(0) >> uint(64-w)
+	f := Flip{Flip: core.NewDeriver(codec).FromPattern(bits, pos), Pos: pos, Bits: bits}
+	f.PointErr = qcat.Point(f.ReprValue, f.FaultyVal)
+	switch c := codec.(type) {
+	case numfmt.RegimeSizer:
+		f.FaultyK = c.RegimeK(f.FaultyBits)
+		f.RegimeDelta = regime(w, f.FaultyBits, f.FaultyK) - regime(w, bits, f.RegimeK)
+		f.Class = positClass(w, bits, f.FaultyBits, f.FieldName, f.RegimeK, pos)
+	case *numfmt.IEEECodec:
+		f.Class = Class(c.Fmt.ClassifyFlip(bits, pos).String())
+	}
+	return f
 }
 
-// AnalyzePositFlip predicts the outcome of flipping bit pos of the
-// posit pattern bits — without running an injection. The prediction is
-// exact (it re-decodes the flipped pattern, which is the closed-form
-// the paper derives region by region) and classifies the mechanism.
-func AnalyzePositFlip(cfg posit.Config, bits uint64, pos int) PositFlip {
-	bits = cfg.Canon(bits)
-	newBits := cfg.Canon(bits ^ uint64(1)<<uint(pos))
-	pf := PositFlip{
-		Cfg: cfg, Pos: pos,
-		OldBits: bits, NewBits: newBits,
-		OldVal: posit.DecodeFloat64(cfg, bits),
-		NewVal: posit.DecodeFloat64(cfg, newBits),
+// Sweep analyzes the flip of every bit of a pattern, LSB first — the
+// per-value sweep behind the paper's worked examples.
+func Sweep(codec numfmt.Codec, bits uint64) []Flip {
+	out := make([]Flip, codec.Width())
+	for pos := range out {
+		out[pos] = Analyze(codec, bits, pos)
 	}
-	oldF := posit.DecodeFields(cfg, bits)
-	newF := posit.DecodeFields(cfg, newBits)
-	pf.OldK, pf.NewK = oldF.K, newF.K
-	pf.RegimeDelta = newF.R - oldF.R
+	return out
+}
 
+// regime is the regime value r of an n-bit posit pattern with run
+// length k (paper eq. 1): k-1 for a run of ones, -k for a run of zeros
+// (0 for zero and NaR, whose k is 0).
+func regime(n int, bits uint64, k int) int {
+	if bits>>uint(n-2)&1 == 1 {
+		return k - 1
+	}
+	return -k
+}
+
+// positClass is the §5 mechanism of flipping bit pos of an n-bit posit
+// pattern into faulty, given the field owning the bit and the
+// pattern's run length k. The sign, exponent and fraction classes are
+// their field's name. In the regime field, R_0 sits at bit n-2 and the
+// terminating bit R_k at n-2-k.
+func positClass(n int, bits, faulty uint64, field string, k, pos int) Class {
+	nar := uint64(1) << uint(n-1)
 	switch {
-	case bits == cfg.NaR():
-		pf.Class = ClassFromNaR
+	case bits == nar:
+		return ClassFromNaR
 	case bits == 0:
-		pf.Class = ClassFromZero
-	case newBits == cfg.NaR():
-		pf.Class = ClassToNaR
-	case pos == cfg.N-1:
-		pf.Class = ClassSign
-	default:
-		switch posit.FieldAt(cfg, bits, pos) {
-		case posit.FieldExponent:
-			pf.Class = ClassExponent
-		case posit.FieldFraction:
-			pf.Class = ClassFraction
-		default: // regime
-			runTop := cfg.N - 2 // position of R_0
-			i := runTop - pos   // index within the regime field
-			switch {
-			case i == oldF.K && oldF.RegimeLen > oldF.K:
-				// The terminating bit R_k.
-				pf.Class = ClassRegimeExpand
-			case i == 0 && oldF.K == 1:
-				pf.Class = ClassRegimeInvertExpand
-			case i == 0:
-				pf.Class = ClassRegimeInvert
-			default:
-				pf.Class = ClassRegimeShrink
-			}
-		}
+		return ClassFromZero
+	case faulty == nar:
+		return ClassToNaR
+	case field != "regime":
+		return Class(field)
+	case pos == n-2-k:
+		return ClassRegimeExpand
+	case pos == n-2 && k == 1:
+		return ClassRegimeInvertExpand
+	case pos == n-2:
+		return ClassRegimeInvert
 	}
-
-	p := qcat.Point(pf.OldVal, pf.NewVal)
-	pf.AbsErr, pf.RelErr, pf.Catastrophic = p.AbsErr, p.RelErr, p.Catastrophic
-	return pf
-}
-
-// SweepPositFlips analyzes every single-bit flip of a pattern,
-// LSB-first — the per-value sweep behind the paper's worked examples.
-func SweepPositFlips(cfg posit.Config, bits uint64) []PositFlip {
-	out := make([]PositFlip, cfg.N)
-	for pos := 0; pos < cfg.N; pos++ {
-		out[pos] = AnalyzePositFlip(cfg, bits, pos)
-	}
-	return out
-}
-
-// IEEEFlip is the analytical outcome of one bit flip in an IEEE
-// value, pairing the measured error with the Elliott closed form.
-type IEEEFlip struct {
-	Fmt ieee754.Format // IEEE format (binary32/binary64) of the pattern
-	Pos int            // flipped bit position, 0 = LSB
-
-	OldBits, NewBits uint64  // patterns before and after the flip
-	OldVal, NewVal   float64 // decoded values before and after
-
-	Field   ieee754.FieldKind   // sign/exponent/fraction owning the bit
-	Outcome ieee754.FlipOutcome // qualitative outcome class of the flip
-
-	AbsErr       float64 // |NewVal - OldVal|
-	RelErr       float64 // AbsErr / |OldVal|, +Inf when OldVal is 0
-	Catastrophic bool    // RelErr above the campaign threshold (or NaN/Inf)
-	// PredictedRelErr is the Elliott et al. closed form (NaN when the
-	// model is out of scope); it matches RelErr in scope.
-	PredictedRelErr float64
-}
-
-// AnalyzeIEEEFlip predicts the outcome of flipping bit pos of an IEEE
-// pattern.
-func AnalyzeIEEEFlip(f ieee754.Format, bits uint64, pos int) IEEEFlip {
-	bits &= f.Mask()
-	newBits := (bits ^ uint64(1)<<uint(pos)) & f.Mask()
-	fl := IEEEFlip{
-		Fmt: f, Pos: pos,
-		OldBits: bits, NewBits: newBits,
-		OldVal: f.Decode(bits), NewVal: f.Decode(newBits),
-		Field:   f.FieldAt(pos),
-		Outcome: f.ClassifyFlip(bits, pos),
-	}
-	p := qcat.Point(fl.OldVal, fl.NewVal)
-	fl.AbsErr, fl.RelErr, fl.Catastrophic = p.AbsErr, p.RelErr, p.Catastrophic
-	fl.PredictedRelErr = f.TheoreticalRelError(bits, pos)
-	return fl
-}
-
-// SweepIEEEFlips analyzes every single-bit flip of an IEEE pattern.
-func SweepIEEEFlips(f ieee754.Format, bits uint64) []IEEEFlip {
-	out := make([]IEEEFlip, f.Width())
-	for pos := 0; pos < f.Width(); pos++ {
-		out[pos] = AnalyzeIEEEFlip(f, bits, pos)
-	}
-	return out
+	return ClassRegimeShrink
 }
 
 // RegimeExpansionScale returns the paper's §5.4.1 closed form for an
@@ -212,6 +143,6 @@ func SweepIEEEFlips(f ieee754.Format, bits uint64) []IEEEFlip {
 // reinterpretation of the exponent and fraction bits (a factor within
 // [2^-(2^ES+1), 2^(2^ES+1))). The returned value is the pure regime
 // contribution 2^(2^ES·Δr).
-func RegimeExpansionScale(cfg posit.Config, flip PositFlip) float64 {
+func RegimeExpansionScale(cfg posit.Config, flip Flip) float64 {
 	return math.Exp2(float64(int(1) << uint(cfg.ES) * flip.RegimeDelta))
 }

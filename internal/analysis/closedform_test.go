@@ -66,7 +66,7 @@ func TestPredictFlipRelError(t *testing.T) {
 		b := cfg.Canon(rng.Uint64())
 		pos := rng.Intn(cfg.N)
 		pred := PredictFlipRelError(cfg, b, pos)
-		pf := AnalyzePositFlip(cfg, b, pos)
+		pf := Analyze(p32, b, pos)
 		want := pf.RelErr
 		if pf.Catastrophic {
 			want = math.Inf(1)

@@ -1,14 +1,12 @@
-// Package bitflip implements the fault models of the paper's fault
-// injection campaign (§4.1): single-bit flips at chosen positions via
-// XOR masks, plus the multi-bit and field-targeted extensions listed
-// as future work. All functions operate on right-aligned bit patterns
-// of a given width, the representation shared by every numfmt codec.
+// Package bitflip implements the fault model of the paper's fault
+// injection campaign (§4.1): flips of chosen bit positions via XOR
+// masks, one position for a trial and several for the multi-bit
+// extension the paper lists as future work. The caller chooses the
+// positions. All functions operate on right-aligned bit patterns, the
+// representation shared by every numfmt codec.
 package bitflip
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Mask returns the XOR mask with a single one at bit position pos
 // (0 = LSB), as built by the paper's trial setup.
@@ -29,43 +27,4 @@ func FlipMany(bits uint64, positions ...int) uint64 {
 		bits ^= Mask(p)
 	}
 	return bits
-}
-
-// MultiMask returns the XOR mask covering all listed positions.
-func MultiMask(positions ...int) uint64 {
-	var m uint64
-	for _, p := range positions {
-		m ^= Mask(p)
-	}
-	return m
-}
-
-// RandomPositions draws k distinct bit positions in [0, width) from
-// rng, in ascending order. It panics if k > width.
-func RandomPositions(rng *rand.Rand, width, k int) []int {
-	if k > width {
-		panic(fmt.Sprintf("bitflip: cannot pick %d distinct positions from %d bits", k, width))
-	}
-	// Partial Fisher-Yates over the position universe.
-	perm := rng.Perm(width)
-	out := perm[:k]
-	// Ascending order keeps trial logs canonical.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-// RandomFlip flips one uniformly random bit and reports its position.
-func RandomFlip(rng *rand.Rand, bits uint64, width int) (faulty uint64, pos int) {
-	pos = rng.Intn(width)
-	return Flip(bits, pos), pos
-}
-
-// RandomMultiFlip flips k distinct uniformly random bits.
-func RandomMultiFlip(rng *rand.Rand, bits uint64, width, k int) (faulty uint64, positions []int) {
-	positions = RandomPositions(rng, width, k)
-	return FlipMany(bits, positions...), positions
 }

@@ -1,7 +1,6 @@
 package bitflip
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -59,77 +58,5 @@ func TestFlipMany(t *testing.T) {
 	// Repeated positions toggle back.
 	if FlipMany(0, 3, 3) != 0 {
 		t.Error("double flip should cancel")
-	}
-	if MultiMask(0, 2, 4) != 0b10101 {
-		t.Error("multi mask")
-	}
-	if MultiMask() != 0 {
-		t.Error("empty multi mask")
-	}
-}
-
-func TestRandomPositions(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		k := 1 + rng.Intn(8)
-		w := k + rng.Intn(32)
-		ps := RandomPositions(rng, w, k)
-		if len(ps) != k {
-			t.Fatalf("got %d positions, want %d", len(ps), k)
-		}
-		for i, p := range ps {
-			if p < 0 || p >= w {
-				t.Fatalf("position %d out of range [0,%d)", p, w)
-			}
-			if i > 0 && ps[i-1] >= p {
-				t.Fatalf("positions not strictly ascending: %v", ps)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("k > width should panic")
-		}
-	}()
-	RandomPositions(rng, 3, 4)
-}
-
-func TestRandomFlip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		faulty, pos := RandomFlip(rng, 0xDEADBEEF, 32)
-		if pos < 0 || pos >= 32 {
-			t.Fatal("position out of range")
-		}
-		if faulty != Flip(0xDEADBEEF, pos) {
-			t.Fatal("faulty pattern inconsistent with reported position")
-		}
-		seen[pos] = true
-	}
-	if len(seen) != 32 {
-		t.Errorf("only %d of 32 positions hit in 1000 draws", len(seen))
-	}
-}
-
-func TestRandomMultiFlip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		faulty, ps := RandomMultiFlip(rng, 0x12345678, 32, 3)
-		if len(ps) != 3 {
-			t.Fatal("want 3 positions")
-		}
-		if faulty != FlipMany(0x12345678, ps...) {
-			t.Fatal("faulty inconsistent with positions")
-		}
-		// Exactly 3 bits differ.
-		diff := faulty ^ 0x12345678
-		n := 0
-		for ; diff != 0; diff &= diff - 1 {
-			n++
-		}
-		if n != 3 {
-			t.Fatalf("flipped %d bits, want 3", n)
-		}
 	}
 }

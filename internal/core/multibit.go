@@ -70,8 +70,8 @@ func RunMultiBit(cfg Config, codec numfmt.Codec, fieldKey string, data []float64
 	return out, nil
 }
 
-// randomDistinct draws k distinct positions in [0, width) using the
-// deterministic sdrbench RNG (bitflip.RandomPositions needs math/rand).
+// randomDistinct draws k distinct positions in [0, width), in
+// ascending order, from the deterministic sdrbench RNG.
 func randomDistinct(rng *sdrbench.RNG, width, k int) []int {
 	perm := make([]int, width)
 	for i := range perm {

@@ -121,7 +121,8 @@ func Table1(b Budget) *textplot.Table {
 // Fig3 sweeps every bit of the IEEE-754 binary32 encoding of 186.25
 // and plots the relative error per position (paper Fig. 3).
 func Fig3() *textplot.LineChart {
-	sweep := analysis.SweepIEEEFlips(ieee754.Binary32, ieee754.Binary32.Encode(186.25))
+	ieee32 := mustCodec("ieee32")
+	sweep := analysis.Sweep(ieee32, ieee32.Encode(186.25))
 	s := textplot.Series{Name: "ieee32 186.25"}
 	for _, fl := range sweep {
 		s.X = append(s.X, float64(fl.Pos))

@@ -103,32 +103,3 @@ func (f Format) TheoreticalRelError(b uint64, pos int) float64 {
 		return math.Exp2(float64(pos-f.FracBits)) / sig
 	}
 }
-
-// TheoreticalAbsError returns |orig − faulty| under the same model,
-// NaN when out of scope.
-func (f Format) TheoreticalAbsError(b uint64, pos int) float64 {
-	rel := f.TheoreticalRelError(b, pos)
-	if math.IsNaN(rel) {
-		return math.NaN()
-	}
-	return rel * math.Abs(f.Decode(b))
-}
-
-// MeasuredRelError computes the actual relative error of the flip by
-// decoding both patterns (the empirical counterpart the campaign
-// records). Returns +Inf when the faulty value is Inf/NaN and the
-// original is finite nonzero.
-func (f Format) MeasuredRelError(b uint64, pos int) float64 {
-	orig := f.Decode(b)
-	faulty := f.Decode((b ^ uint64(1)<<uint(pos)) & f.Mask())
-	if orig == 0 {
-		if faulty == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	if math.IsNaN(faulty) || math.IsInf(faulty, 0) {
-		return math.Inf(1)
-	}
-	return math.Abs(orig-faulty) / math.Abs(orig)
-}

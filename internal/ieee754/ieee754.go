@@ -263,11 +263,3 @@ func (f Format) Encode(x float64) uint64 {
 	}
 	return sign | uint64(e)<<uint(f.FracBits) | kept&f.fracMask()
 }
-
-// Float32Bits and Float32FromBits expose the native binary32 path used
-// by the fault injector (identical to the generic codec; kept for the
-// hot path).
-func Float32Bits(x float32) uint32     { return math.Float32bits(x) }
-func Float32FromBits(b uint32) float32 { return math.Float32frombits(b) }
-func Float64Bits(x float64) uint64     { return math.Float64bits(x) }
-func Float64FromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"positres/internal/qcat"
 )
 
 func TestFormatGeometry(t *testing.T) {
@@ -165,26 +167,41 @@ func TestSpecialClassifiers(t *testing.T) {
 	}
 }
 
+// measuredRelErr is the relative error of flipping bit pos of b, as a
+// campaign measures it: qcat.Point of the two decoded patterns.
+func measuredRelErr(f Format, b uint64, pos int) float64 {
+	return qcat.Point(f.Decode(b), f.Decode((b^uint64(1)<<uint(pos))&f.Mask())).RelErr
+}
+
 // TestTheoreticalMatchesMeasured: the closed-form model must agree
-// with brute-force flip-and-decode wherever it claims to apply.
+// with brute-force flip-and-decode wherever it claims to apply — on
+// every (pattern, bit) pair of binary16 and bfloat16, and on sampled
+// binary32 pairs.
 func TestTheoreticalMatchesMeasured(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, f := range []Format{Binary16, BFloat16, Binary32} {
-		for i := 0; i < 20000; i++ {
-			b := rng.Uint64() & f.Mask()
-			pos := rng.Intn(f.Width())
-			pred := f.TheoreticalRelError(b, pos)
-			if math.IsNaN(pred) {
-				continue // model declared itself out of scope
-			}
-			meas := f.MeasuredRelError(b, pos)
-			if math.IsInf(meas, 1) {
-				t.Fatalf("%s: model applied at %#x pos %d but flip was catastrophic", f.Name, b, pos)
-			}
-			if diff := math.Abs(pred-meas) / math.Max(meas, 1e-300); diff > 1e-9 && math.Abs(pred-meas) > 1e-12 {
-				t.Fatalf("%s: pattern %#x pos %d: predicted %g measured %g", f.Name, b, pos, pred, meas)
+	check := func(f Format, b uint64, pos int) {
+		pred := f.TheoreticalRelError(b, pos)
+		if math.IsNaN(pred) {
+			return // model declared itself out of scope
+		}
+		meas := measuredRelErr(f, b, pos)
+		if math.IsInf(meas, 1) {
+			t.Fatalf("%s: model applied at %#x pos %d but flip was catastrophic", f.Name, b, pos)
+		}
+		if diff := math.Abs(pred-meas) / math.Max(meas, 1e-300); diff > 1e-9 && math.Abs(pred-meas) > 1e-12 {
+			t.Fatalf("%s: pattern %#x pos %d: predicted %g measured %g", f.Name, b, pos, pred, meas)
+		}
+	}
+	for _, f := range []Format{Binary16, BFloat16} {
+		for b := uint64(0); b <= f.Mask(); b++ {
+			for pos := 0; pos < f.Width(); pos++ {
+				check(f, b, pos)
 			}
 		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	f := Binary32
+	for i := 0; i < 20000; i++ {
+		check(f, rng.Uint64()&f.Mask(), rng.Intn(f.Width()))
 	}
 }
 
@@ -199,7 +216,7 @@ func TestSignFlipRelErrorExactlyTwo(t *testing.T) {
 		if fd.Exp == 0 || fd.Exp == 255 {
 			continue
 		}
-		if got := f.MeasuredRelError(b, 31); got != 2 {
+		if got := measuredRelErr(f, b, 31); got != 2 {
 			t.Fatalf("sign flip rel error of %#x = %v, want exactly 2", b, got)
 		}
 	}
@@ -317,50 +334,21 @@ func TestEncodeHalfwaySubnormal(t *testing.T) {
 	}
 }
 
-func TestTheoreticalAbsError(t *testing.T) {
-	f := Binary32
-	b := f.Encode(186.25)
-	// Sign flip: abs err exactly 2·|v|.
-	if got := f.TheoreticalAbsError(b, 31); got != 372.5 {
-		t.Errorf("sign abs err %v", got)
-	}
-	// Out of scope propagates NaN.
-	if !math.IsNaN(f.TheoreticalAbsError(f.NaN(), 5)) {
-		t.Error("NaN input should be out of scope")
-	}
-	// Fraction bit: matches measured.
-	pred := f.TheoreticalAbsError(b, 10)
-	meas := math.Abs(f.Decode(b) - f.Decode(b^(1<<10)))
-	if math.Abs(pred-meas) > 1e-9*meas {
-		t.Errorf("fraction abs err %v vs %v", pred, meas)
-	}
-}
-
+// TestMeasuredRelErrorEdges pins how a campaign measures the edge
+// cases of an IEEE flip (qcat.Point over the decoded patterns).
 func TestMeasuredRelErrorEdges(t *testing.T) {
 	f := Binary32
 	// Zero original, zero faulty (flip the sign of +0): zero error.
-	if got := f.MeasuredRelError(0, 31); got != 0 {
+	if got := measuredRelErr(f, 0, 31); got != 0 {
 		t.Errorf("0 -> -0: %v", got)
 	}
 	// Zero original, nonzero faulty: infinite.
-	if !math.IsInf(f.MeasuredRelError(0, 3), 1) {
+	if !math.IsInf(measuredRelErr(f, 0, 3), 1) {
 		t.Error("0 -> subnormal should be Inf")
 	}
 	// Faulty NaN: infinite.
-	if !math.IsInf(f.MeasuredRelError(f.Encode(math.MaxFloat32), 23), 1) {
+	if !math.IsInf(measuredRelErr(f, f.Encode(math.MaxFloat32), 23), 1) {
 		t.Error("NaN outcome should be Inf")
-	}
-}
-
-func TestRawBitHelpers(t *testing.T) {
-	if Float32FromBits(Float32Bits(1.5)) != 1.5 {
-		t.Error("float32 helpers")
-	}
-	if Float64FromBits(Float64Bits(-2.25)) != -2.25 {
-		t.Error("float64 helpers")
-	}
-	if Float32Bits(1) != 0x3F800000 || Float64Bits(1) != 0x3FF0000000000000 {
-		t.Error("bit patterns")
 	}
 }
 

@@ -61,7 +61,7 @@ func (r *CtxLoop) Check(pass *Pass) []Diagnostic {
 				}
 				return true
 			})
-			return true
+			return false // the walk above covered every loop nested in this one
 		})
 	})
 	return out

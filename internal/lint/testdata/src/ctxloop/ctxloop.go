@@ -35,6 +35,16 @@ func ignoresContext(ctx context.Context, xs []int, out chan<- int) {
 	}
 }
 
+func nestedLoops(ctx context.Context, n int, out chan<- int) {
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			go func(v int) { // want "never consults the enclosing function's context"
+				out <- v
+			}(i * j)
+		}
+	}
+}
+
 func consultsContext(ctx context.Context, xs []int, out chan<- int) {
 	for _, x := range xs {
 		go func(v int) {

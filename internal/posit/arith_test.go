@@ -15,6 +15,7 @@ func ratMul(a, b *big.Rat) *big.Rat { return new(big.Rat).Mul(a, b) }
 // TestExhaustiveP8AddSubMul checks every posit8 operand pair against
 // the exact rational result rounded by the reference rounder.
 func TestExhaustiveP8AddSubMul(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("exhaustive check skipped in -short mode")
 	}
@@ -55,6 +56,7 @@ func TestExhaustiveP8AddSubMul(t *testing.T) {
 // TestExhaustiveP8Div checks every posit8 quotient against the exact
 // rational quotient.
 func TestExhaustiveP8Div(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("exhaustive check skipped in -short mode")
 	}
@@ -133,6 +135,7 @@ func refSqrt(cfg Config, a uint64) uint64 {
 // reference on random operand pairs, including denormal-regime
 // extremes.
 func TestSampledP16P32Arith(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("exhaustive check skipped in -short mode")
 	}
@@ -167,6 +170,7 @@ func TestSampledP16P32Arith(t *testing.T) {
 // TestSampledP64Arith exercises the widest format, where significands
 // use nearly the full 64-bit engine width.
 func TestSampledP64Arith(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(19))
 	cfg := Std64
 	for i := 0; i < 5000; i++ {
@@ -235,6 +239,7 @@ func TestArithIdentities(t *testing.T) {
 
 // TestSqrtSampled32 checks posit32 square roots against the reference.
 func TestSqrtSampled32(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("exhaustive check skipped in -short mode")
 	}

@@ -221,6 +221,7 @@ func TestRoundTripQuick(t *testing.T) {
 // posit8 against the reference rational rounder, sweeping a dense grid
 // of float64 values across and beyond the posit8 range.
 func TestEncodeIsNearest(t *testing.T) {
+	t.Parallel()
 	cfg := Std8
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200000; i++ {
@@ -242,6 +243,7 @@ func TestEncodeIsNearest(t *testing.T) {
 
 // TestEncodeIsNearest32 samples the same reference check for posit32.
 func TestEncodeIsNearest32(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("exhaustive check skipped in -short mode")
 	}

@@ -31,6 +31,7 @@ func TestConvertWidening(t *testing.T) {
 // TestConvertNarrowingRounds: narrowing agrees with re-encoding the
 // exact value (sampled against the reference rounder).
 func TestConvertNarrowingRounds(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(51))
 	for i := 0; i < 50000; i++ {
 		b := Std32.Canon(rng.Uint64())
@@ -59,6 +60,7 @@ func TestConvertNarrowingRounds(t *testing.T) {
 }
 
 func TestFromInt64(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		v    int64
 		want float64
@@ -239,6 +241,7 @@ func TestNextUpDown(t *testing.T) {
 // TestFMAExhaustiveP8 checks fused multiply-add against the exact
 // rational for every (a, b) pair with a sampled set of addends.
 func TestFMAExhaustiveP8(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("exhaustive check skipped in -short mode")
 	}
@@ -268,6 +271,7 @@ func TestFMAExhaustiveP8(t *testing.T) {
 
 // TestFMASampled32: random posit32 triples against the exact rational.
 func TestFMASampled32(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(57))
 	cfg := Std32
 	for i := 0; i < 30000; i++ {

@@ -45,6 +45,7 @@ func checkDecode(t *testing.T, cfg Config, bits uint64) {
 // truncated regime, exponent and fraction shape a wider posit can
 // have.
 func TestCLZExhaustiveSmallWidths(t *testing.T) {
+	t.Parallel()
 	maxN := 20
 	if testing.Short() {
 		maxN = 14
@@ -88,12 +89,18 @@ func checkSampled(t *testing.T, n int, span uint64) {
 
 // TestCLZPosit32Sampled covers N = 32 at every ES: the standard
 // posit32 and the es-ablation codecs posit32es0/1/3.
-func TestCLZPosit32Sampled(t *testing.T) { checkSampled(t, 32, 1<<20) }
+func TestCLZPosit32Sampled(t *testing.T) {
+	t.Parallel()
+	checkSampled(t, 32, 1<<20)
+}
 
 // TestCLZPosit64Sampled covers N = 64 at every ES, where a fraction
 // can exceed 52 bits and DecodeFloat64 incurs its one float64
 // rounding; it must round as refDecode's math.Ldexp does.
-func TestCLZPosit64Sampled(t *testing.T) { checkSampled(t, 64, 1<<18) }
+func TestCLZPosit64Sampled(t *testing.T) {
+	t.Parallel()
+	checkSampled(t, 64, 1<<18)
+}
 
 // TestCLZSpecialPatterns pins zero, NaR, the extreme patterns and a
 // regime run of every length in both directions (with all-zero,

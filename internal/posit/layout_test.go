@@ -34,6 +34,7 @@ func panics(fn func()) (did bool) {
 // included, and that both functions refuse the positions just outside
 // the pattern.
 func TestFieldAndRegimeKExhaustive(t *testing.T) {
+	t.Parallel()
 	for n := 2; n <= 16; n++ {
 		for es := 0; es <= 4; es++ {
 			cfg := Config{N: n, ES: es}
@@ -74,6 +75,7 @@ func samplePattern(rng *rand.Rand, cfg Config, longRun bool) uint64 {
 // TestFieldAndRegimeKSampled checks 10⁶ sampled pairs of each wide
 // posit codec the campaign runs, half of them with long regime runs.
 func TestFieldAndRegimeKSampled(t *testing.T) {
+	t.Parallel()
 	for _, cfg := range []Config{Std32, Std64, {N: 32, ES: 0}, {N: 32, ES: 1}, {N: 32, ES: 3}} {
 		rng := rand.New(rand.NewSource(int64(cfg.N*8 + cfg.ES)))
 		for i := 0; i < 1_000_000; i++ {

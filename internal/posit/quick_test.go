@@ -209,6 +209,7 @@ func TestQuickConvertWidenExact(t *testing.T) {
 // TestQuickFormatParseRoundTrip: shortest decimal formatting
 // round-trips arbitrary patterns.
 func TestQuickFormatParseRoundTrip(t *testing.T) {
+	t.Parallel()
 	f := func(raw uint32) bool {
 		b := uint64(raw)
 		s := Format(Std32, b, 'g', -1)

@@ -120,6 +120,7 @@ func TestParseBeyondFloat64(t *testing.T) {
 // TestFormatParseRoundTripExhaustive16: shortest 'g' formatting
 // round-trips every posit16 pattern.
 func TestFormatParseRoundTripExhaustive16(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("exhaustive check skipped in -short mode")
 	}
@@ -138,6 +139,7 @@ func TestFormatParseRoundTripExhaustive16(t *testing.T) {
 
 // TestFormatParseRoundTripSampled32And64 samples the wide formats.
 func TestFormatParseRoundTripSampled32And64(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(73))
 	for _, cfg := range []Config{Std32, Std64} {
 		for i := 0; i < 3000; i++ {

@@ -13,28 +13,18 @@ type Table1Row struct {
 	Mean, Median, Max, Min, Std float64 // the paper's Table 1 columns
 }
 
-// Field describes one dataset field: identity, original dimensions,
-// the paper's Table 1 statistics, and the value generator that
-// synthesizes a stand-in sample.
+// Field describes one dataset field: identity, the paper's Table 1
+// statistics, and the value generator that synthesizes a stand-in
+// sample.
 type Field struct {
 	Dataset string    // SDRBench dataset name, e.g. "CESM"
 	Name    string    // field name within the dataset, e.g. "CLOUD"
-	Dims    []int     // original grid dimensions from the paper
 	Target  Table1Row // the paper's summary statistics for the field
 	gen     func(r *RNG) float64
 }
 
 // Key returns the canonical "Dataset/Name" identifier.
 func (f Field) Key() string { return f.Dataset + "/" + f.Name }
-
-// FullLen returns the element count of the original field.
-func (f Field) FullLen() int {
-	n := 1
-	for _, d := range f.Dims {
-		n *= d
-	}
-	return n
-}
 
 // Generate synthesizes n float32 elements deterministically from the
 // seed. The same (field, seed, n) always yields the same data, at any
@@ -65,7 +55,7 @@ func clip(x, lo, hi float64) float64 {
 // injection (magnitude scale → regime size, sign mix, zero mass).
 var fields = []Field{
 	{
-		Dataset: "CESM", Name: "OMEGA", Dims: []int{26, 1800, 3600},
+		Dataset: "CESM", Name: "OMEGA",
 		Target: Table1Row{Mean: -3.88e-06, Median: 3.41e-06, Max: 4.18e-03, Min: -5.01e-03, Std: 3.11e-04},
 		// Vertical velocity: symmetric heavy-tailed values at the
 		// 1e-4 scale (tiny magnitudes → long posit regimes, |v| < 1).
@@ -77,7 +67,7 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "CESM", Name: "CLOUD", Dims: []int{26, 1800, 3600},
+		Dataset: "CESM", Name: "CLOUD",
 		Target: Table1Row{Mean: 6.37e-02, Median: 2.89e-02, Max: 9.64e-01, Min: -1.14e-17, Std: 7.42e-02},
 		// Cloud fraction: non-negative, right-skewed, bounded by ~1
 		// (all |v| < 1 → the paper's small-magnitude regime).
@@ -86,7 +76,7 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "CESM", Name: "RELHUM", Dims: []int{26, 1800, 3600},
+		Dataset: "CESM", Name: "RELHUM",
 		Target: Table1Row{Mean: 4.07e+01, Median: 4.56e+01, Max: 9.96e+01, Min: 1.12e-03, Std: 2.02e+01},
 		// Relative humidity in (0, 100): moderate magnitudes, left
 		// skew (median > mean), no negatives.
@@ -98,7 +88,7 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "EXAFEL", Name: "smd-cxif5315-r129-dark", Dims: []int{50, 32, 185, 388},
+		Dataset: "EXAFEL", Name: "smd-cxif5315-r129-dark",
 		Target: Table1Row{Mean: 2.18e-35, Median: 2.02e-35, Max: 9.53e-01, Min: 6.81e-43, Std: 1.94e-03},
 		// Dark-calibration frames: almost all mass at the float32
 		// denormal boundary (~1e-35, extreme posit regimes) with very
@@ -116,22 +106,22 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "HACC", Name: "vx", Dims: []int{280953867},
+		Dataset: "HACC", Name: "vx",
 		Target: Table1Row{Mean: 1.79e+01, Median: 2.34e+01, Max: 3.39e+03, Min: -3.52e+03, Std: 2.27e+02},
 		gen:    haccVelocity(17.9, 23.4, 227, 3390, -3520),
 	},
 	{
-		Dataset: "HACC", Name: "vy", Dims: []int{280953867},
+		Dataset: "HACC", Name: "vy",
 		Target: Table1Row{Mean: 4.08e+00, Median: -4.98e-01, Max: 3.74e+03, Min: -3.50e+03, Std: 2.41e+02},
 		gen:    haccVelocity(4.08, -0.498, 241, 3740, -3500),
 	},
 	{
-		Dataset: "HACC", Name: "vz", Dims: []int{280953867},
+		Dataset: "HACC", Name: "vz",
 		Target: Table1Row{Mean: 2.45e+00, Median: -1.17e+00, Max: 3.18e+03, Min: -4.08e+03, Std: 2.63e+02},
 		gen:    haccVelocity(2.45, -1.17, 263, 3180, -4080),
 	},
 	{
-		Dataset: "Hurricane", Name: "PRECIPf48", Dims: []int{100, 500, 500},
+		Dataset: "Hurricane", Name: "PRECIPf48",
 		Target: Table1Row{Mean: 1.24e-05, Median: 7.09e-09, Max: 7.51e-03, Min: 0, Std: 7.77e-05},
 		// Precipitation: exact zeros plus a lognormal spanning eight
 		// decades (tiny medians, rare large values — wide regime mix).
@@ -143,7 +133,7 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "Hurricane", Name: "Wf30", Dims: []int{100, 500, 500},
+		Dataset: "Hurricane", Name: "Wf30",
 		Target: Table1Row{Mean: 6.91e-03, Median: -7.78e-05, Max: 1.55e+01, Min: -4.57e+00, Std: 1.72e-01},
 		// Vertical wind: near-zero core (centered slightly below zero
 		// so the mixture median lands at the target's -7.8e-5) with a
@@ -160,14 +150,14 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "Hurricane", Name: "Uf30", Dims: []int{100, 500, 500},
+		Dataset: "Hurricane", Name: "Uf30",
 		Target: Table1Row{Mean: -5.54e-01, Median: -6.93e-01, Max: 6.89e+01, Min: -7.95e+01, Std: 9.36e+00},
 		gen: func(r *RNG) float64 {
 			return clip(-0.62+9.3*r.NormFloat64(), -79.5, 68.9)
 		},
 	},
 	{
-		Dataset: "Hurricane", Name: "Pf48", Dims: []int{100, 500, 500},
+		Dataset: "Hurricane", Name: "Pf48",
 		Target: Table1Row{Mean: 3.76e+02, Median: 2.25e+02, Max: 3.22e+03, Min: -3.41e+03, Std: 4.55e+02},
 		// Perturbation pressure: positive skew with a negative tail.
 		gen: func(r *RNG) float64 {
@@ -178,7 +168,7 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "Hurricane", Name: "CLOUDf48", Dims: []int{100, 500, 500},
+		Dataset: "Hurricane", Name: "CLOUDf48",
 		Target: Table1Row{Mean: 8.60e-06, Median: 0, Max: 2.05e-03, Min: 0, Std: 5.18e-05},
 		// Cloud water: mostly exact zeros (median 0) with a tiny
 		// lognormal remainder — the extreme zero-mass case.
@@ -190,14 +180,14 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "Hurricane", Name: "Vf30", Dims: []int{100, 500, 500},
+		Dataset: "Hurricane", Name: "Vf30",
 		Target: Table1Row{Mean: 3.63e+00, Median: 3.48e+00, Max: 6.98e+01, Min: -6.86e+01, Std: 9.76e+00},
 		gen: func(r *RNG) float64 {
 			return clip(3.55+9.7*r.NormFloat64(), -68.6, 69.8)
 		},
 	},
 	{
-		Dataset: "Nyx", Name: "velocity-x", Dims: []int{512, 512, 512},
+		Dataset: "Nyx", Name: "velocity-x",
 		Target: Table1Row{Mean: 3.54e+02, Median: 4.68e+05, Max: 3.19e+07, Min: -5.04e+07, Std: 4.97e+06},
 		// Baryon velocity: huge symmetric magnitudes (1e6–1e7 scale →
 		// large posit regimes; the paper's "spiky" dataset).
@@ -209,7 +199,7 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "Nyx", Name: "dark-matter-density", Dims: []int{512, 512, 512},
+		Dataset: "Nyx", Name: "dark-matter-density",
 		Target: Table1Row{Mean: 1.00e+00, Median: 3.93e-01, Max: 1.38e+04, Min: 0, Std: 8.37e+00},
 		// Density contrast: lognormal around 1 with a cosmic-web
 		// power-law tail and an underdense floor near zero.
@@ -221,7 +211,7 @@ var fields = []Field{
 		},
 	},
 	{
-		Dataset: "Nyx", Name: "temperature", Dims: []int{512, 512, 512},
+		Dataset: "Nyx", Name: "temperature",
 		Target: Table1Row{Mean: 8.45e+03, Median: 7.09e+03, Max: 4.78e+06, Min: 2.28e+03, Std: 1.54e+04},
 		// Gas temperature: floored at ~2280 K, lognormal body, rare
 		// shock-heated tail to millions of K.

@@ -28,19 +28,6 @@ func TestFieldRegistry(t *testing.T) {
 			t.Errorf("duplicate field key %s", f.Key())
 		}
 		seen[f.Key()] = true
-		if f.FullLen() <= 0 {
-			t.Errorf("%s: bad FullLen", f.Key())
-		}
-	}
-	// Spot-check the original sizes against the paper.
-	if f, _ := Lookup("CESM/OMEGA"); f.FullLen() != 26*1800*3600 {
-		t.Error("CESM/OMEGA dimensions wrong")
-	}
-	if f, _ := Lookup("HACC/vx"); f.FullLen() != 280953867 {
-		t.Error("HACC/vx length wrong")
-	}
-	if f, _ := Lookup("Nyx/temperature"); f.FullLen() != 512*512*512 {
-		t.Error("Nyx/temperature dimensions wrong")
 	}
 	if _, err := Lookup("nope/nothing"); err == nil {
 		t.Error("Lookup of unknown field should fail")

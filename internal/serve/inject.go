@@ -64,8 +64,9 @@ type InjectResponse struct {
 	AbsErr JSONFloat `json:"abs_err"`
 	// RelErr is AbsErr scaled by |orig| (qcat.Point's convention).
 	RelErr JSONFloat `json:"rel_err"`
-	// Catastrophic reports whether the flip crossed the paper's
-	// catastrophic-error threshold.
+	// Catastrophic reports a faulty value that decodes to NaN, ±Inf or
+	// NaR, or an original of zero that the flip made nonzero
+	// (qcat.Point's rule; no error threshold is involved).
 	Catastrophic bool `json:"catastrophic"`
 	// Cached reports whether the pattern-derived half of the answer
 	// came from the server's LRU.

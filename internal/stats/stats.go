@@ -293,40 +293,6 @@ func partition3(data []float64, lo, hi int) (int, int) {
 	return lt, gt
 }
 
-// Histogram counts elements into nb equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64 // bin range; elements outside land in Under/Over
-	Counts   []int   // per-bin tallies, len = requested bin count
-	// Under and Over count elements outside [Min, Max]; Special counts
-	// NaN/Inf elements.
-	Under, Over, Special int
-}
-
-// NewHistogram builds a histogram of data with nb bins over [min,max].
-func NewHistogram(data []float64, min, max float64, nb int) *Histogram {
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, nb)}
-	width := (max - min) / float64(nb)
-	for _, x := range data {
-		switch {
-		case math.IsNaN(x) || math.IsInf(x, 0):
-			h.Special++
-		case x < min:
-			h.Under++
-		case x > max:
-			h.Over++
-		default:
-			// x == max lands at index nb; clamp it into the top bin
-			// (this also absorbs any rounding in (x-min)/width).
-			idx := int((x - min) / width)
-			if idx >= nb {
-				idx = nb - 1
-			}
-			h.Counts[idx]++
-		}
-	}
-	return h
-}
-
 // BoxStats holds the five-number summary used by the paper's box plot
 // (Fig. 20), plus the count.
 type BoxStats struct {

@@ -154,19 +154,6 @@ func TestMedianPermutationInvariant(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0.5, 1.5, 2.5, -1, 11, math.NaN(), 10}, 0, 10, 10)
-	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[2] != 1 {
-		t.Errorf("bin counts: %v", h.Counts)
-	}
-	if h.Under != 1 || h.Over != 1 || h.Special != 1 {
-		t.Errorf("under %d over %d special %d", h.Under, h.Over, h.Special)
-	}
-	if h.Counts[9] != 1 { // x == max lands in the last bin
-		t.Error("max-valued element should land in last bin")
-	}
-}
-
 func TestBox(t *testing.T) {
 	b := Box([]float64{1, 2, 3, 4, 5})
 	if b.N != 5 || b.Low != 1 || b.Median != 3 || b.Hi != 5 || b.Q1 != 2 || b.Q3 != 4 {

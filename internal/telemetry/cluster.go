@@ -8,7 +8,6 @@ package telemetry
 // time).
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -186,19 +185,4 @@ func (c *ClusterMetrics) Snapshot() ClusterSnapshot {
 		}
 	}
 	return s
-}
-
-// WorkerURLs returns the registered worker URLs, sorted.
-func (c *ClusterMetrics) WorkerURLs() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	urls := make([]string, 0, len(c.workers))
-	for u := range c.workers {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	return urls
 }

@@ -170,18 +170,15 @@ type Summary = stats.Summary
 var Summarize = stats.Summarize
 
 // Flip analysis (the injection-free prediction model).
-type (
-	// PositFlip is the analytical outcome of a posit bit flip.
-	PositFlip = analysis.PositFlip
-	// IEEEFlip is the analytical outcome of an IEEE bit flip.
-	IEEEFlip = analysis.IEEEFlip
-)
+
+// Flip is the analytical outcome of one bit flip in any format.
+type Flip = analysis.Flip
 
 var (
-	AnalyzePositFlip = analysis.AnalyzePositFlip
-	SweepPositFlips  = analysis.SweepPositFlips
-	AnalyzeIEEEFlip  = analysis.AnalyzeIEEEFlip
-	SweepIEEEFlips   = analysis.SweepIEEEFlips
+	// AnalyzeFlip analyzes the flip of one bit of a codec's pattern.
+	AnalyzeFlip = analysis.Analyze
+	// SweepFlips analyzes the flip of every bit of a pattern, LSB first.
+	SweepFlips = analysis.Sweep
 )
 
 // Figures: regenerate the paper's tables and plots.

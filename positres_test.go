@@ -127,20 +127,31 @@ func TestFacadeCampaign(t *testing.T) {
 }
 
 func TestFacadeAnalysis(t *testing.T) {
+	p32, err := positres.LookupFormat("posit32")
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := uint64(positres.P32FromFloat64(0.5).Bits())
-	pf := positres.AnalyzePositFlip(positres.Std32, b, 30)
-	if pf.OldVal != 0.5 || pf.RelErr <= 0 {
+	pf := positres.AnalyzeFlip(p32, b, 30)
+	if pf.ReprValue != 0.5 || pf.RelErr <= 0 || pf.Class != "regime-invert-expand" {
 		t.Errorf("posit flip: %+v", pf)
 	}
-	sweep := positres.SweepPositFlips(positres.Std32, b)
-	if len(sweep) != 32 {
+	if len(positres.SweepFlips(p32, b)) != 32 {
 		t.Fatal("posit sweep")
 	}
-	ifl := positres.AnalyzeIEEEFlip(positres.Binary32, positres.Binary32.Encode(0.5), 31)
-	if ifl.NewVal != -0.5 || ifl.RelErr != 2 {
+	ieee32, err := positres.LookupFormat("ieee32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ifl := positres.AnalyzeFlip(ieee32, positres.Binary32.Encode(0.5), 31)
+	if ifl.FaultyVal != -0.5 || ifl.RelErr != 2 {
 		t.Errorf("ieee flip: %+v", ifl)
 	}
-	if len(positres.SweepIEEEFlips(positres.Binary16, positres.Binary16.Encode(1))) != 16 {
+	ieee16, err := positres.LookupFormat("ieee16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(positres.SweepFlips(ieee16, positres.Binary16.Encode(1))) != 16 {
 		t.Fatal("ieee sweep")
 	}
 	// Binary formats exposed.
