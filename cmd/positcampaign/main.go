@@ -40,6 +40,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -228,7 +229,10 @@ func run() int {
 				if err := cw.AppendShard(res.Field, res.Codec, 0, codec.Width(), res.Trials); err != nil {
 					return fatal(err)
 				}
-				if err := report(cw, res, storeDir, csvDir, keepStores); err != nil {
+				if err := cw.Seal(res.Field, res.Codec); err != nil {
+					return fatal(err)
+				}
+				if err := report(res, storeDir, csvDir, keepStores); err != nil {
 					return fatal(err)
 				}
 			}
@@ -276,12 +280,16 @@ func run() int {
 			rep.Completed+rep.Resumed, len(rep.Shards))
 		return exitInterrupt
 	}
+	sealErrs := sealAll(cw, rep.Results)
 	published := 0
-	for _, res := range rep.Results {
+	for i, res := range rep.Results {
 		if res == nil {
 			continue
 		}
-		if err := report(cw, res, storeDir, csvDir, keepStores); err != nil {
+		if sealErrs[i] != nil {
+			return fatal(sealErrs[i])
+		}
+		if err := report(res, storeDir, csvDir, keepStores); err != nil {
 			return fatal(err)
 		}
 		published++
@@ -295,15 +303,39 @@ func run() int {
 	return exitOK
 }
 
-// report seals one (field, format) store and prints its summary from
-// the footer aggregates. With csvDir set it publishes the store's rows
+// sealers bounds the concurrent seals of sealAll. Each seal is a
+// footer write and an fsync; 4, 8 and 16 measured the same.
+const sealers = 4
+
+// sealAll seals the store of every complete spec (a non-nil result),
+// at most sealers at a time, so their fsyncs overlap. The returned
+// errors are index-aligned with results.
+func sealAll(cw *store.CampaignWriter, results []*core.Result) []error {
+	errs := make([]error, len(results))
+	slots := make(chan struct{}, sealers)
+	var wg sync.WaitGroup
+	for i, res := range results {
+		if res == nil {
+			continue
+		}
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer wg.Done()
+			errs[i] = cw.Seal(res.Field, res.Codec)
+			<-slots
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// report prints one sealed (field, format) store's summary from its
+// footer aggregates. With csvDir set it publishes the store's rows
 // there as CSV, atomically: a reader never observes a partial file at
 // the final path, no matter when the process dies. keepStore names the
 // store in the output when it outlives the run.
-func report(cw *store.CampaignWriter, res *core.Result, storeDir, csvDir string, keepStore bool) error {
-	if err := cw.Seal(res.Field, res.Codec); err != nil {
-		return err
-	}
+func report(res *core.Result, storeDir, csvDir string, keepStore bool) error {
 	path := filepath.Join(storeDir, store.FileName(res.Field, res.Codec))
 	rd, err := store.Open(path)
 	if err != nil {

@@ -46,6 +46,11 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("bad -bits %q: %w", *bitsFlag, err))
 		}
+		// Bits above the format's width are not part of the pattern:
+		// describe what the decoder and the sweep see.
+		if w := codec.Width(); w < 64 {
+			bits &= 1<<uint(w) - 1
+		}
 	case *valueFlag != "":
 		v, err := strconv.ParseFloat(*valueFlag, 64)
 		if err != nil {

@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 	"unsafe"
 
@@ -39,6 +37,7 @@ import (
 	"positres/internal/numfmt"
 	"positres/internal/sdrbench"
 	"positres/internal/store"
+	"positres/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -261,11 +260,11 @@ func smokeCmd(args []string) error {
 	// render's decoded block), never the campaign.
 	materialized := totalRows * uint64(unsafe.Sizeof(core.Trial{}))
 	bound := materialized / 2
-	peak, err := peakRSS()
+	peak := uint64(telemetry.New().Snapshot().PeakRSSBytes)
 	var mem string
 	switch {
-	case err != nil:
-		mem = fmt.Sprintf("peak rss unknown (%v; bound not checked)", err)
+	case peak == 0:
+		mem = "peak rss unknown (no VmHWM; bound not checked)"
 	case peak >= bound:
 		return fmt.Errorf("peak rss %d MiB reaches half of the %d MiB the %d trials take materialized",
 			peak>>20, materialized>>20, totalRows)
@@ -275,23 +274,4 @@ func smokeCmd(args []string) error {
 	fmt.Printf("smoke ok: %d trials, %d bits, store %d bytes, csv sha256 %x, %s, %v\n",
 		totalRows, width, st.Size(), got, mem, time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// peakRSS returns the process's peak resident set size in bytes, read
-// from VmHWM in /proc/self/status (Linux).
-func peakRSS() (uint64, error) {
-	raw, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0, err
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
-			kb, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 10, 64)
-			if err != nil {
-				return 0, fmt.Errorf("VmHWM %q: %w", rest, err)
-			}
-			return kb << 10, nil
-		}
-	}
-	return 0, fmt.Errorf("no VmHWM line in /proc/self/status")
 }

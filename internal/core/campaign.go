@@ -271,27 +271,52 @@ feed:
 // trial (bit, seq) is keyed by (seed, field, codec, bit, seq); the
 // label-hash prefix is folded once per bit and extended per trial, so
 // the loop body allocates nothing (the per-trial NewRNG + strconv
-// calls used to dominate the allocation profile of a campaign). Each
-// trial's derived half comes from Deriver.Fill.
+// calls used to dominate the allocation profile of a campaign). It
+// runs three passes over out:
+//
+//   - draw: each trial's first index, from sdrbench.FirstIntn's one
+//     splitmix64 round, or from the full stream when that first draw
+//     is rejected;
+//   - gather: every OrigValue read from data in its own tight loop, so
+//     the random reads overlap instead of stalling one trial each;
+//   - derive: a zero selection under SkipZeros replays the trial's
+//     full stream (the first draw, then the re-draws), then the
+//     identity fields are set and Deriver.Fill derives the rest.
+//
+// Every trial is the one a single pass over the full streams draws;
+// TestCampaignDrawsPinned holds the digests.
 func runBit(cfg Config, codec numfmt.Codec, fieldKey string, data []float64, bit int, out []Trial) {
 	d := NewDeriver(codec)
 	name := codec.Name()
 	prefix := sdrbench.NewLabelHash(fieldKey, name, "bit"+strconv.Itoa(bit))
+	n := len(data)
 	for seq := range out {
-		rng := sdrbench.RNGFromHash(cfg.Seed, prefix.WithInt(seq))
-		idx := rng.Intn(len(data))
-		if cfg.SkipZeros {
-			for attempt := 0; data[idx] == 0 && attempt < cfg.MaxSelectAttempts; attempt++ {
-				idx = rng.Intn(len(data))
-			}
+		h := prefix.WithInt(seq)
+		idx, ok := sdrbench.FirstIntn(cfg.Seed, h, n)
+		if !ok {
+			rng := sdrbench.RNGFromHash(cfg.Seed, h)
+			idx = rng.Intn(n)
 		}
+		out[seq].Index = idx
+	}
+	for i := range out {
+		out[i].OrigValue = data[out[i].Index]
+	}
+	for seq := range out {
 		tr := &out[seq]
+		if cfg.SkipZeros && tr.OrigValue == 0 {
+			rng := sdrbench.RNGFromHash(cfg.Seed, prefix.WithInt(seq))
+			idx := rng.Intn(n)
+			for attempt := 0; data[idx] == 0 && attempt < cfg.MaxSelectAttempts; attempt++ {
+				idx = rng.Intn(n)
+			}
+			tr.Index = idx
+			tr.OrigValue = data[idx]
+		}
 		tr.Field = fieldKey
 		tr.Codec = name
 		tr.Bit = bit
 		tr.Seq = seq
-		tr.Index = idx
-		tr.OrigValue = data[idx]
 		d.Fill(tr)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"reflect"
@@ -755,5 +756,55 @@ func TestRunRangeSerialZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("serial RunRangeInto allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// drawPins are SHA-256 digests of WriteTrialsCSV over RunRange for
+// every registered codec, in numfmt.Names() order, at N 4096, 16
+// trials per bit and seed 11, keyed by field and SkipZeros. They were
+// taken from the engine that seeded a full RNGFromHash stream for
+// every trial, so any change to how runBit draws an element index,
+// re-draws a zero or fills a trial moves them. CLOUDf48 is ~62% zeros
+// and PRECIPf48 ~10%, so the zero re-draw path runs often on their
+// SkipZeros trials; CESM/CLOUD draws no zero at this N, so its two
+// digests agree.
+var drawPins = map[string]string{
+	"Hurricane/CLOUDf48 skip":  "c41b112d11e908009769579837537a8470096fcae15ddbfea49e04371e3b2b3d",
+	"Hurricane/CLOUDf48 keep":  "a91abe704c38300e001babd44d5013ae07d4fe8bca42d16653fccd1c6a674437",
+	"Hurricane/PRECIPf48 skip": "e6e83c75a29913aa907e5f22d2da3cf6b272c4aa23b452c7fce3b4cc1c70a405",
+	"Hurricane/PRECIPf48 keep": "ee5a8714722b21a1399e0f8e5ac2f09dcff94819c0111ebac66c27140f944fb4",
+	"CESM/CLOUD skip":          "4b12cefad1d3fb2a4ae9efe50d8fc978d9954f2307088996e78654ed45c31ac5",
+	"CESM/CLOUD keep":          "4b12cefad1d3fb2a4ae9efe50d8fc978d9954f2307088996e78654ed45c31ac5",
+}
+
+// TestCampaignDrawsPinned: the trials of a campaign — every drawn
+// index and every derived column — match the pinned digests.
+func TestCampaignDrawsPinned(t *testing.T) {
+	for _, field := range []string{"Hurricane/CLOUDf48", "Hurricane/PRECIPf48", "CESM/CLOUD"} {
+		data := testData(t, field, 4096)
+		for _, skip := range []bool{true, false} {
+			cfg := DefaultConfig()
+			cfg.Seed = 11
+			cfg.TrialsPerBit = 16
+			cfg.SkipZeros = skip
+			h := sha256.New()
+			for _, name := range numfmt.Names() {
+				codec := mustCodec(t, name)
+				trials, err := RunRange(context.Background(), cfg, codec, field, data, 0, codec.Width())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := WriteTrialsCSV(h, trials); err != nil {
+					t.Fatal(err)
+				}
+			}
+			key := field + " keep"
+			if skip {
+				key = field + " skip"
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != drawPins[key] {
+				t.Errorf("%s: trials sha256 %s, want %s", key, got, drawPins[key])
+			}
+		}
 	}
 }

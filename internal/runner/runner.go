@@ -304,14 +304,22 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// mutex serializes the OnShardDone callback only. A local shard
 	// injects into its field's dataset, shared by every format: the
 	// feeder resolves each shard's cache entry in feed order, which is
-	// field-major, so an entry is never evicted while shards of its
-	// field are still to come and each field generates once per run.
-	// Generation itself happens in the worker, on first use.
+	// field-major. When it feeds a field's first shard it also starts
+	// generating the next fed field's dataset (prefetch), so that
+	// generation overlaps this field's shards instead of stalling
+	// every worker on its sync.Once later. Generation otherwise
+	// happens in the worker, on first use. Between two field changes
+	// the feeder looks up only the current field and the one
+	// generating ahead, so with room for every in-flight shard's
+	// dataset plus that one (Workers+1 entries) no entry is evicted
+	// while shards of its field are still to come, and each field
+	// generates once per run.
 	type job struct {
 		i    int
 		data *sdrbench.Dataset // nil when Execute brings its own data
 	}
-	datasets := sdrbench.NewCache(c.Workers, c.Metrics.ObserveDatasetGenerate)
+	datasets := sdrbench.NewCache(c.Workers+1, c.Metrics.ObserveDatasetGenerate)
+	var prefetch sync.WaitGroup
 	var mu sync.Mutex
 	jobs := make(chan job)
 	var wg sync.WaitGroup
@@ -364,6 +372,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 		}()
 	}
+	dataset := func(i int) *sdrbench.Dataset {
+		sh := shards[i]
+		return datasets.Dataset(fields[specIndex(specs, sh.Spec)], sh.N, sh.Seed)
+	}
+	prev := -1 // the shard fed before this one
 feed:
 	for i, sh := range shards {
 		if statuses[i].State == ShardResumed {
@@ -371,8 +384,21 @@ feed:
 		}
 		jb := job{i: i}
 		if c.Execute == nil {
-			jb.data = datasets.Dataset(fields[specIndex(specs, sh.Spec)], sh.N, sh.Seed)
+			jb.data = dataset(i)
+			if prev < 0 || shards[prev].Field != sh.Field {
+				if next := nextField(shards, statuses, i); next >= 0 {
+					ahead := dataset(next)
+					prefetch.Add(1)
+					go func() {
+						defer prefetch.Done()
+						if ctx.Err() == nil { // a cancelled run generates nothing ahead
+							ahead.Data()
+						}
+					}()
+				}
+			}
 		}
+		prev = i
 		select {
 		case jobs <- jb:
 		case <-ctx.Done():
@@ -381,6 +407,7 @@ feed:
 	}
 	close(jobs)
 	wg.Wait()
+	prefetch.Wait()
 
 	rep := &Report{
 		Specs:     specs,
@@ -422,6 +449,19 @@ feed:
 		return nil, err
 	}
 	return rep, nil
+}
+
+// nextField returns the first shard after i that a run feeds (one not
+// resumed from the journal) of another field than shard i's, or -1
+// when there is none. Every shard of a run shares its N and seed, so
+// another field is another dataset.
+func nextField(shards []Shard, statuses []ShardStatus, i int) int {
+	for j := i + 1; j < len(shards); j++ {
+		if statuses[j].State != ShardResumed && shards[j].Field != shards[i].Field {
+			return j
+		}
+	}
+	return -1
 }
 
 // specIndex finds the spec's position; specs are few, linear scan is

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -721,7 +722,11 @@ func TestRunnerTelemetry(t *testing.T) {
 // TestRunnerGeneratesEachFieldOnce: every format of a field injects
 // into the same dataset, so a 16-field campaign generates 16 datasets
 // however many formats it crosses them with and however many workers
-// run its shards.
+// run its shards. The dataset cache holds Workers+1 entries because
+// the feeder looks up the current field's entry and, from that field's
+// first shard on, the next field's one generating ahead: at Workers
+// entries a 1-worker run would evict the current field for the next
+// one and generate its dataset again for each of its later shards.
 func TestRunnerGeneratesEachFieldOnce(t *testing.T) {
 	var fields []string
 	for _, f := range sdrbench.Fields() {
@@ -751,6 +756,103 @@ func TestRunnerGeneratesEachFieldOnce(t *testing.T) {
 				t.Errorf("%d formats, %d workers: datasets_generated = %d (%d ns), want 16",
 					len(formats), workers, s.DatasetsGenerated, s.DatasetGenerateNS)
 			}
+		}
+	}
+}
+
+// runGoroutines returns the stacks of live goroutines that Run started
+// itself: its shard workers and its dataset prefetches.
+func runGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by positres/internal/runner.Run") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestRunnerPrefetch: a multi-field campaign generates its next
+// field's dataset ahead. Run waits for that generation, so no
+// goroutine it started survives its return, whether the campaign
+// completes or is cancelled mid-run; and a field whose shards all
+// resume from the journal is never generated, not even ahead.
+func TestRunnerPrefetch(t *testing.T) {
+	cs := func() *spec.CampaignSpec {
+		return &spec.CampaignSpec{
+			Fields:  []string{"CESM/CLOUD", "HACC/vx", "Nyx/temperature", "Hurricane/PRECIPf48"},
+			Formats: []string{"posit8", "posit16"},
+			N:       20000, TrialsPerBit: 4, Seed: 3, BitsPerShard: 8,
+		}
+	}
+	const fieldShards = 1 + 2 // posit8 and posit16 at 8 bits per shard
+
+	// To completion, then cancelled after its third shard.
+	dir := t.TempDir()
+	cfg := testCfg(dir)
+	cfg.Spec = cs()
+	cfg.Metrics = telemetry.New()
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left := runGoroutines(); !rep.Complete() || len(left) > 0 {
+		t.Fatalf("complete=%v; %d goroutines started by Run outlive it:\n%s",
+			rep.Complete(), len(left), strings.Join(left, "\n\n"))
+	}
+	if got := cfg.Metrics.Snapshot().DatasetsGenerated; got != 4 {
+		t.Errorf("complete run: datasets_generated = %d, want 4", got)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ccfg := testCfg("")
+	ccfg.Spec = cs()
+	var done int32
+	ccfg.OnShardDone = func(st ShardStatus) {
+		if atomic.AddInt32(&done, 1) == 3 {
+			cancel()
+		}
+	}
+	crep, err := Run(ctx, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left := runGoroutines(); !crep.Cancelled || len(left) > 0 {
+		t.Fatalf("cancelled=%v; %d goroutines started by Run outlive it:\n%s",
+			crep.Cancelled, len(left), strings.Join(left, "\n\n"))
+	}
+
+	// Resume with the second and fourth fields' records removed: the
+	// first and third fields resume whole, and the feeder's first field
+	// (HACC/vx) must generate ahead the fourth, not the third.
+	for _, workers := range []int{1, 2} {
+		for _, prefix := range []string{"HACC_vx.", "Hurricane_PRECIPf48."} {
+			recs, err := filepath.Glob(filepath.Join(dir, "journal", prefix+"*.rec"))
+			if err != nil || len(recs) != fieldShards {
+				t.Fatalf("%s: %d journal records (err %v), want %d", prefix, len(recs), err, fieldShards)
+			}
+			for _, r := range recs {
+				if err := os.Remove(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rcfg := testCfg(dir)
+		rcfg.Spec = cs()
+		rcfg.Resume = true
+		rcfg.Workers = workers
+		rcfg.Metrics = telemetry.New()
+		rrep, err := Run(context.Background(), rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rrep.Complete() || rrep.Resumed != 2*fieldShards || rrep.Completed != 2*fieldShards {
+			t.Fatalf("%d workers: resume profile %+v", workers, rrep)
+		}
+		if got := rcfg.Metrics.Snapshot().DatasetsGenerated; got != 2 {
+			t.Errorf("%d workers: datasets_generated = %d, want 2: a resumed field was generated", workers, got)
 		}
 	}
 }

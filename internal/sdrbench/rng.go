@@ -164,15 +164,38 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("sdrbench: Intn with non-positive n")
 	}
-	// Lemire's multiply-shift rejection method, unbiased.
-	un := uint64(n)
-	threshold := (-un) % un
 	for {
-		hi, lo := bits.Mul64(r.Uint64(), un)
-		if lo >= threshold {
-			return int(hi)
+		if v, ok := lemire(r.Uint64(), uint64(n)); ok {
+			return v
 		}
 	}
+}
+
+// FirstIntn returns RNGFromHash(seed, h).Intn(n) and true when that
+// call's first 64-bit draw is accepted, and false when it is rejected
+// (the caller then runs the full stream). It computes only what the
+// first draw depends on: xoshiro256**'s first output is
+// rotl(s[1]*5, 7)*9, and s[1] is the second splitmix64 output, so one
+// splitmix64 round yields it. The all-zero-state fix touches only
+// s[0], so it cannot change that output. It panics if n <= 0.
+func FirstIntn(seed uint64, h LabelHash, n int) (int, bool) {
+	if n <= 0 {
+		panic("sdrbench: FirstIntn with non-positive n")
+	}
+	x := (seed ^ uint64(h)) + 0x9E3779B97F4A7C15 // s[0]'s round advances x only
+	return lemire(rotl(splitmix64(&x)*5, 7)*9, uint64(n))
+}
+
+// lemire is the accept step of Lemire's unbiased multiply-shift
+// method: the value in [0, n) of one 64-bit draw x, and whether x is
+// accepted. The rejection threshold (-n) % n is below n, so the
+// division runs only when the low product word is too.
+func lemire(x, n uint64) (int, bool) {
+	hi, lo := bits.Mul64(x, n)
+	if lo < n && lo < (-n)%n {
+		return 0, false
+	}
+	return int(hi), true
 }
 
 // NormFloat64 returns a standard normal variate (Marsaglia polar).

@@ -3,6 +3,7 @@ package sdrbench
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -312,6 +313,58 @@ func TestLabelHashEquivalence(t *testing.T) {
 	base := NewLabelHash("f", "c").WithLabel("bit3")
 	if base.WithInt(12) != NewLabelHash("f", "c", "bit3", "12") {
 		t.Error("prefix extension diverged from flat label list")
+	}
+}
+
+// refIntn is Intn as first written — the (-n) % n threshold computed
+// on every call — kept as the reference the shared accept step must
+// reproduce draw for draw.
+func refIntn(r *RNG, n int) int {
+	un := uint64(n)
+	threshold := (-un) % un
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), un)
+		if lo >= threshold {
+			return int(hi)
+		}
+	}
+}
+
+// TestFirstIntnMatchesStream: over 2·10⁵ per-trial label hashes per n,
+// FirstIntn equals RNGFromHash(…).Intn(n) whenever it answers, and
+// declines exactly when the stream's first draw is rejected. Intn
+// itself must match refIntn. At n = 3<<61 about a quarter of first
+// draws are rejected, so the fallback is exercised, not assumed.
+func TestFirstIntnMatchesStream(t *testing.T) {
+	const draws = 200000
+	base := NewLabelHash("Hurricane/CLOUDf48", "posit32", "bit17")
+	for _, n := range []int{1, 7, 5e4, 1e5, 512 * 512 * 512, 3 << 61} {
+		rejected := 0
+		for seq := 0; seq < draws; seq++ {
+			h := base.WithInt(seq)
+			seed := uint64(seq % 5)
+			got, ok := FirstIntn(seed, h, n)
+			stream := RNGFromHash(seed, h)
+			_, lo := bits.Mul64(stream.Uint64(), uint64(n))
+			if reject := lo < (-uint64(n))%uint64(n); ok == reject {
+				t.Fatalf("n=%d seq %d: FirstIntn ok=%v, first draw rejected=%v", n, seq, ok, reject)
+			}
+			full, ref := RNGFromHash(seed, h), RNGFromHash(seed, h)
+			want := full.Intn(n)
+			if r := refIntn(&ref, n); want != r {
+				t.Fatalf("n=%d seq %d: Intn = %d, reference %d", n, seq, want, r)
+			}
+			if !ok {
+				rejected++
+				continue
+			}
+			if got != want {
+				t.Fatalf("n=%d seq %d: FirstIntn = %d, stream Intn = %d", n, seq, got, want)
+			}
+		}
+		if n == 3<<61 && rejected == 0 {
+			t.Errorf("n=%d: no first draw rejected in %d; the fallback went untested", n, draws)
+		}
 	}
 }
 

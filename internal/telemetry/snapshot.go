@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"positres/internal/artifact"
@@ -65,6 +68,11 @@ type Snapshot struct {
 	// DatasetGenerateNS is the total time spent generating them,
 	// nanoseconds.
 	DatasetGenerateNS int64 `json:"dataset_generate_ns"`
+
+	// PeakRSSBytes is the process's peak resident set size in bytes
+	// (VmHWM in /proc/self/status) when the snapshot was taken; 0
+	// where the kernel does not report it.
+	PeakRSSBytes int64 `json:"peak_rss_bytes"`
 }
 
 // Snapshot captures the current metric values. Nil-safe: a nil
@@ -90,6 +98,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.ShardLatency = m.ShardLatency.Snapshot()
 	s.DatasetsGenerated = m.DatasetsGenerated.Load()
 	s.DatasetGenerateNS = m.DatasetGenerateNS.Load()
+	s.PeakRSSBytes = peakRSS()
 	if s.ElapsedNS > 0 {
 		s.InjectionsPerSec = float64(s.Injections) / (float64(s.ElapsedNS) / float64(time.Second))
 		if s.Workers > 0 {
@@ -97,6 +106,25 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	return s
+}
+
+// peakRSS returns the process's peak resident set size in bytes, read
+// from VmHWM in /proc/self/status (Linux), or 0 where it is not there.
+func peakRSS() int64 {
+	raw, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 10, 64)
+			if err != nil {
+				return 0
+			}
+			return kb << 10
+		}
+	}
+	return 0
 }
 
 // WriteSnapshot encodes the current snapshot as indented JSON.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -143,7 +144,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := m.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"datasets_generated": 1`, `"dataset_generate_ns": 3000000`} {
+	for _, key := range []string{`"datasets_generated": 1`, `"dataset_generate_ns": 3000000`, `"peak_rss_bytes": `} {
 		if !bytes.Contains(buf.Bytes(), []byte(key)) {
 			t.Errorf("snapshot lacks %s:\n%s", key, buf.Bytes())
 		}
@@ -161,6 +162,10 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if s.ElapsedNS <= 0 {
 		t.Error("elapsed not populated")
+	}
+	// Where the kernel reports VmHWM, the snapshot carries it.
+	if _, err := os.Stat("/proc/self/status"); err == nil && s.PeakRSSBytes <= 0 {
+		t.Errorf("peak_rss_bytes = %d with /proc/self/status present", s.PeakRSSBytes)
 	}
 }
 

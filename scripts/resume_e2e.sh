@@ -23,18 +23,22 @@ trap 'rm -rf "$TMP"' EXIT
 BIN="$TMP/positcampaign"
 $GO build -o "$BIN" ./cmd/positcampaign
 
-# Two codecs so the campaign spans 12 shards (16/4 + 32/4) — enough
-# that every interruption leaves genuinely unfinished work behind.
-FLAGS="-field CESM/CLOUD -formats posit16,ieee32 -n 20000 -trials 100 -seed 5 -bits-per-shard 4"
+# Every field × two codecs: 16 × (16/4 + 32/4) = 192 shards, 12 per
+# field in field order. The crash lands among the 8th field's shards
+# (Hurricane/PRECIPf48, ~10% zeros) and the SIGINT among the 12th's
+# (Hurricane/CLOUDf48, ~62% zeros): both interrupt the run past field
+# boundaries, while the next field's dataset generates ahead, on fields
+# whose zero selections re-draw.
+FLAGS="-field all -formats posit16,ieee32 -n 2000 -trials 8 -seed 5 -bits-per-shard 4"
 
 echo "--- reference run (uninterrupted)"
 # shellcheck disable=SC2086 # FLAGS is deliberately word-split
 "$BIN" $FLAGS -out "$TMP/ref" >/dev/null
 ls "$TMP/ref/"*.csv >/dev/null
 
-echo "--- crash run: simulated hard crash after 2 shards"
+echo "--- crash run: simulated hard crash after 90 shards"
 status=0
-"$BIN" $FLAGS -out "$TMP/crash" -debug-crash-after 2 >/dev/null 2>&1 || status=$?
+"$BIN" $FLAGS -out "$TMP/crash" -debug-crash-after 90 >/dev/null 2>&1 || status=$?
 if [ "$status" -ne 137 ]; then
 	echo "expected exit 137 from the crash run, got $status"
 	exit 1
@@ -51,9 +55,9 @@ fi
 echo "--- resume after crash"
 "$BIN" $FLAGS -out "$TMP/crash" -resume >/dev/null
 
-echo "--- SIGINT run: real signal after 1 shard, sequential workers"
+echo "--- SIGINT run: real signal after 138 shards, sequential workers"
 status=0
-"$BIN" $FLAGS -out "$TMP/sigint" -debug-sigint-after 1 -workers 1 >/dev/null 2>&1 || status=$?
+"$BIN" $FLAGS -out "$TMP/sigint" -debug-sigint-after 138 -workers 1 >/dev/null 2>&1 || status=$?
 if [ "$status" -ne 130 ]; then
 	echo "expected exit 130 from the SIGINT run, got $status"
 	exit 1
